@@ -8,34 +8,36 @@
 //  * MessagePayload stores payloads of up to kInlineCapacity (64) bytes
 //    inline in the Message itself — covering the control traffic (doubles,
 //    counters, CTS-sized frames) that dominates message counts — and backs
-//    larger payloads with a buffer acquired from the world's PayloadPool.
+//    larger payloads with a buffer from the sending shard's PayloadPool.
 //  * PayloadPool parks returned buffers in power-of-two *size classes*
 //    (128 B, 256 B, ... — anything smaller rides inline). An acquire is
 //    served from the request's own class when possible, then from the
 //    smallest larger class (no copy-growth), and only as a last resort from
-//    a smaller class (which reallocates, exactly like the old single free
-//    list did). Apps cycling through many distinct large payload sizes
-//    therefore stop thrashing one LIFO: each size class keeps its warm
-//    buffers. Buffer capacities are rounded up to the class size so parked
-//    buffers stay interchangeable within a class.
+//    a smaller class (which reallocates). Apps cycling through many
+//    distinct large payload sizes therefore keep their warm buffers, one
+//    free list per size class. Buffer capacities are rounded up to the
+//    class size so parked buffers stay interchangeable within a class.
 //
-// Accounting: the serialised WorldStats counters (reuses, allocations,
-// returns, trimmedBuffers, liveHighWater) predate the size classes and are
-// part of the byte-identical campaign artefact contract, so they are
-// produced by CompatModel — an exact count/capacity replica of the original
-// single-LIFO pool fed with the same acquire/release sequence. The size
-// classes additionally expose per-class counters (ClassStats) describing
-// what the pool actually did; those are serialised into the campaign
-// __worlds.csv per-class table, so sharded runs reproduce them canonically
-// through ClassModel — the same capacity-only-mirror trick, replayed at the
-// window barriers in merged dispatch order.
+// Accounting: the pool counts only what it does. The counters split in
+// two by what they depend on:
 //
-// Single-threaded by design: a world's sends and receives all run on the
-// simulation thread, like the mailboxes. Sharded worlds give each shard its
-// own pool with the compat model disabled and instead replay the canonical
-// acquire/release order through one world-level CompatModel at the window
-// barriers (see simmpi_sharded.cpp), so the serialised counters stay
-// shard-count-invariant.
+//  * traffic counters (inline/pooled message counts, returns, per-class
+//    acquires) are sums over the messages sent and received. They do not
+//    depend on event order or on which pool served a message, so summing
+//    them over a sharded world's per-shard pools gives the same value for
+//    every shard count. These are the only pool counters serialised into
+//    campaign artefacts;
+//  * pool-behaviour counters (reuses, allocations, trimmed buffers, live
+//    high-water, per-class reuses/allocations/parked) depend on which
+//    buffers were parked where and when. They stay in memory: host-side
+//    figures for the run summary and the benchmark probes, never written
+//    to an artefact.
+//
+// Single-threaded by design: a pool is touched only by the thread that
+// runs its shard. A sharded world gives each shard its own pool; a pooled
+// buffer is acquired from the sender's pool and parked in the receiver's,
+// so one pool's outstanding count may go negative while the world's sum
+// over its pools stays the number of buffers in flight.
 
 #include <array>
 #include <cstddef>
@@ -47,86 +49,31 @@
 
 namespace tibsim::mpi {
 
-/// Size-classed free lists of payload buffers with legacy-exact accounting.
+/// Size-classed free lists of payload buffers.
 class PayloadPool {
  public:
-  /// Deterministic accounting (functions of the simulated run only, safe to
-  /// serialise): how payload storage was obtained and returned, in the
-  /// original single-free-list model (see CompatModel).
+  /// Pool totals. Traffic fields (serialised): inlineMessages,
+  /// pooledMessages, returns. Pool-behaviour fields (in memory only): the
+  /// rest.
   struct Stats {
     std::uint64_t inlineMessages = 0;  ///< payloads stored in the Message
     std::uint64_t pooledMessages = 0;  ///< payloads backed by a pool buffer
+    std::uint64_t returns = 0;         ///< buffers parked back in this pool
     std::uint64_t reuses = 0;        ///< acquires served without allocating
     std::uint64_t allocations = 0;   ///< acquires that hit the allocator
-    std::uint64_t returns = 0;       ///< buffers recycled into the free list
     std::uint64_t trimmedBuffers = 0;  ///< parked buffers freed by trims
     std::uint64_t liveHighWater = 0;   ///< max buffers checked out at once
   };
 
-  /// What the size-classed pool actually did, per power-of-two class.
-  /// Serialised (campaign __worlds.csv per-class table): sharded runs must
-  /// produce these through ClassModel so they stay shard-count-invariant.
+  /// Per power-of-two class. `acquires` is a traffic counter (serialised
+  /// in the campaign __worlds.csv class table); the others describe pool
+  /// behaviour and stay in memory.
   struct ClassStats {
     std::size_t classBytes = 0;      ///< buffer capacity of this class
     std::uint64_t acquires = 0;      ///< requests that mapped to this class
     std::uint64_t reuses = 0;        ///< served by a parked buffer (any class)
     std::uint64_t allocations = 0;   ///< paid an allocation or copy-growth
     std::uint64_t parked = 0;        ///< buffers returned into this class
-  };
-
-  /// Ticket pairing an acquire with its release for the compat model.
-  static constexpr std::uint32_t kNoTicket = 0xffffffffu;
-
-  /// Exact replica of the pre-size-class pool's accounting: one LIFO of
-  /// buffer capacities, reuse iff the popped capacity fits, trim from the
-  /// cold front. Fed with the same acquire/release sequence it reproduces
-  /// the historical serialised counters bit-for-bit — which is the contract
-  /// that keeps existing campaign artefacts byte-identical.
-  class CompatModel {
-   public:
-    /// Legacy-model capacity of the acquired buffer; the caller keeps it
-    /// per live buffer and hands it back to release().
-    std::size_t acquire(std::size_t bytes);
-    void release(std::size_t capacity);
-    std::size_t trimToHighWater();
-    void resetStats() {
-      stats_ = Stats{};
-      stats_.liveHighWater = outstanding_;
-    }
-    const Stats& stats() const { return stats_; }
-    std::size_t freeCount() const { return freeCaps_.size(); }
-    std::size_t outstandingCount() const { return outstanding_; }
-
-   private:
-    friend class PayloadPool;
-    std::vector<std::size_t> freeCaps_;  ///< parked capacities, LIFO back
-    std::size_t outstanding_ = 0;
-    Stats stats_;
-  };
-
-  /// Capacity-only mirror of the size-classed pool itself — the ClassStats
-  /// analogue of CompatModel. Fed the canonical acquire/release sequence at
-  /// the shard barriers it reproduces exactly the per-class counters the
-  /// single-queue pool produces, because the pool's behaviour depends only
-  /// on buffer capacities (always rounded to a class size) and per-class
-  /// LIFO order, both of which this model tracks.
-  class ClassModel {
-   public:
-    /// Model capacity of the acquired buffer; hand it back to release().
-    std::size_t acquire(std::size_t bytes);
-    void release(std::size_t capacity);
-    /// Mirrors PayloadPool::trimToHighWater (same keep policy and order).
-    std::size_t trimToHighWater();
-    void resetStats();
-    const std::vector<ClassStats>& classStats() const { return classStats_; }
-
-   private:
-    void ensureClass(std::size_t index);
-    std::vector<std::vector<std::size_t>> freeCaps_;  ///< by class, LIFO back
-    std::vector<ClassStats> classStats_;
-    std::size_t freeTotal_ = 0;
-    std::size_t outstanding_ = 0;
-    std::size_t liveHighWater_ = 0;
   };
 
   /// Smallest pooled class: one step above the inline capacity.
@@ -139,13 +86,11 @@ class PayloadPool {
   }
 
   /// A buffer holding a copy of `data`, with capacity rounded up to the
-  /// class size. `ticket` receives the pairing token for release (kNoTicket
-  /// when the compat model is disabled).
-  std::vector<std::byte> acquire(std::span<const std::byte> data,
-                                 std::uint32_t& ticket);
+  /// class size.
+  std::vector<std::byte> acquire(std::span<const std::byte> data);
 
   /// Park a buffer for reuse. Contents are discarded, capacity is kept.
-  void release(std::vector<std::byte>&& buffer, std::uint32_t ticket);
+  void release(std::vector<std::byte>&& buffer);
 
   /// Free parked buffers beyond what the observed peak demand can use:
   /// keeps at most (liveHighWater - currently outstanding) buffers parked,
@@ -153,40 +98,32 @@ class PayloadPool {
   /// number of buffers actually freed from the class lists.
   std::size_t trimToHighWater();
 
-  /// Serialised accounting (legacy model — see CompatModel).
-  const Stats& stats() const { return compat_.stats(); }
-  /// Per-class accounting of what the size-classed pool actually did.
+  const Stats& stats() const { return stats_; }
+  /// Per-class counters, indexed by classIndex (entries below
+  /// kMinClassIndex stay zero).
   const std::vector<ClassStats>& classStats() const { return classStats_; }
 
   /// Resets counters for the next accounting window. The live high-water
   /// restarts from the buffers still outstanding now, not from zero.
   void resetStats();
 
-  /// Per-shard pools in a sharded world: the serialised counters are
-  /// replayed canonically at the world level instead, so the per-pool
-  /// compat model (whose order would be shard-local) is switched off.
-  void disableCompat() { compatEnabled_ = false; }
-
   std::size_t freeBuffers() const { return freeTotal_; }
-  std::size_t outstandingBuffers() const { return outstanding_; }
+  /// Buffers acquired from this pool minus buffers released into it.
+  /// Negative for a pool that receives more pooled messages than it sends.
+  std::int64_t outstandingBuffers() const { return outstanding_; }
 
  private:
   friend class MessagePayload;
 
   void ensureClass(std::size_t index);
-  std::uint32_t mintTicket(std::size_t compatCap);
-  void noteInlineMessage() { ++compat_.stats_.inlineMessages; }
-  void notePooledMessage() { ++compat_.stats_.pooledMessages; }
+  void noteInlineMessage() { ++stats_.inlineMessages; }
+  void notePooledMessage() { ++stats_.pooledMessages; }
 
   std::vector<std::vector<std::vector<std::byte>>> free_;  ///< by class
   std::vector<ClassStats> classStats_;
+  Stats stats_;
   std::size_t freeTotal_ = 0;
-  std::size_t outstanding_ = 0;  ///< buffers acquired and not yet released
-  std::size_t liveHighWater_ = 0;
-  bool compatEnabled_ = true;
-  CompatModel compat_;
-  std::vector<std::size_t> ticketCaps_;  ///< ticket -> legacy-model capacity
-  std::vector<std::uint32_t> freeTickets_;
+  std::int64_t outstanding_ = 0;
 };
 
 /// Payload storage for one in-flight message: empty, inline (<= 64 bytes,
@@ -212,7 +149,6 @@ class MessagePayload {
   MessagePayload(MessagePayload&& other) noexcept
       : size_(std::exchange(other.size_, 0)),
         pooled_(std::exchange(other.pooled_, false)),
-        ticket_(std::exchange(other.ticket_, PayloadPool::kNoTicket)),
         buffer_(std::move(other.buffer_)) {
     if (!pooled_ && size_ > 0)
       std::memcpy(inline_.data(), other.inline_.data(), size_);
@@ -220,7 +156,6 @@ class MessagePayload {
   MessagePayload& operator=(MessagePayload&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
     pooled_ = std::exchange(other.pooled_, false);
-    ticket_ = std::exchange(other.ticket_, PayloadPool::kNoTicket);
     buffer_ = std::move(other.buffer_);
     if (!pooled_ && size_ > 0)
       std::memcpy(inline_.data(), other.inline_.data(), size_);
@@ -244,7 +179,6 @@ class MessagePayload {
  private:
   std::size_t size_ = 0;
   bool pooled_ = false;
-  std::uint32_t ticket_ = PayloadPool::kNoTicket;
   // Deliberately not zero-initialised: only the first size_ bytes are ever
   // written (ctor) and read (view/moves), and zeroing 64 bytes per Message
   // construction is measurable on the ping-pong hot path.

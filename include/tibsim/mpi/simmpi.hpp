@@ -114,21 +114,19 @@ struct WorldStats {
   std::uint64_t traceSpansRecorded = 0;
   std::uint64_t traceSpansRetained = 0;
   std::size_t traceMemoryBytes = 0;
-  // Payload memory accounting (see payload_pool.hpp). Steady-state sends
-  // are zero-allocation when poolAllocations stays flat against
-  // pooledMessages; all five are deterministic and serialisable.
+  // Payload memory accounting (see payload_pool.hpp), summed over the
+  // world's pools. Traffic counters, order-free and serialised:
   std::uint64_t payloadInlineMessages = 0;  ///< stored in the Message itself
   std::uint64_t payloadPooledMessages = 0;  ///< backed by a pool buffer
+  std::uint64_t payloadPoolReturns = 0;     ///< buffers recycled by recv/wait
+  // Pool behaviour, in memory only (depends on which pool parked what):
   std::uint64_t payloadPoolReuses = 0;      ///< pooled sends with no alloc
   std::uint64_t payloadPoolAllocations = 0; ///< pooled sends that allocated
-  std::uint64_t payloadPoolReturns = 0;     ///< buffers recycled by recv/wait
   std::uint64_t payloadPoolTrimmedBuffers = 0;  ///< freed by teardown trim
-  std::uint64_t payloadPoolLiveHighWater = 0;   ///< peak buffers in use
+  std::uint64_t payloadPoolLiveHighWater = 0;   ///< sum of per-pool peaks
   /// Per-size-class pool activity (power-of-two classes; index = log2 of
   /// the class capacity, entries below the smallest class stay zero).
-  /// Serialised into the campaign __worlds.csv per-class table, so sharded
-  /// runs produce it canonically (PayloadPool::ClassModel replayed at the
-  /// window barriers) and it is byte-identical for every --sim-shards value.
+  /// Only `acquires` is serialised (campaign __worlds.csv class table).
   std::vector<PayloadPool::ClassStats> payloadPoolClassStats;
   /// Per-link fabric telemetry folded per link class (all zero when
   /// WorldConfig::linkTelemetry is off). Shard-invariant by construction:
@@ -379,6 +377,9 @@ class MpiWorld {
                        config_.traceSeed});
   }
   const Tracer& tracer() const { return tracer_; }
+  /// The world's payload pools: one per shard (element 0 alone on the
+  /// single-queue engine). Their counters are what WorldStats sums.
+  const std::vector<PayloadPool>& payloadPools() const { return pools_; }
   int nodes() const { return nodes_; }
   const WorldConfig& config() const { return config_; }
   double frequencyHz() const { return frequencyHz_; }
@@ -389,8 +390,6 @@ class MpiWorld {
   friend class Communicator;
 
   enum class Stage : std::uint8_t { Delivered, RtsPending, AwaitingData };
-
-  static constexpr std::uint64_t kNoPoolTicket = ~0ull;
 
   struct Message {
     int src = 0;
@@ -404,10 +403,6 @@ class MpiWorld {
     /// True when delivery already charged receiverCost and folded it into
     /// the wake-up time, so doRecv must not delay again (see deliver()).
     bool receiverCharged = false;
-    /// Sharded runs: world-level pool-compat ticket pairing this message's
-    /// payload acquire with its release (kNoPoolTicket when inline or when
-    /// running on the single-queue engine). See payload_pool.hpp.
-    std::uint64_t poolTicket = kNoPoolTicket;
     /// Communicator the message was sent on; part of the match key. The
     /// world is id 0, so legacy world traffic is unchanged byte-for-byte.
     std::uint64_t comm = 0;
@@ -462,11 +457,11 @@ class MpiWorld {
   // payload pool. Shards advance concurrently inside conservative windows
   // (sim::ShardScheduler); everything whose result depends on *global*
   // order — fabric occupancy, totalFlops/totalDramBytes folds, trace spans,
-  // the serialised payload-pool counters, and every event pushed into
-  // another shard — is recorded as a DeferredOp / PendingSpan against the
-  // submitting dispatch and replayed serially at the window barrier in
-  // canonical merged dispatch order. That replay is what keeps campaign
-  // artefacts byte-identical for every shard count.
+  // and every event pushed into another shard — is recorded as a
+  // DeferredOp / PendingSpan against the submitting dispatch and replayed
+  // serially at the window barrier in canonical merged dispatch order.
+  // That replay is what keeps campaign artefacts byte-identical for every
+  // shard count.
 
   /// One trace span captured in-window, flushed to the world tracer at the
   /// barrier in canonical dispatch order (span order and the sink's memory
@@ -483,8 +478,6 @@ class MpiWorld {
       DataArrival,  ///< rendezvous data wire + completion in dst shard
       CtsResume,    ///< CTS wire + sender wake-up in the sender's shard
       StatFold,     ///< totalFlops/totalDramBytes accumulation
-      PoolAcquire,  ///< world pool-compat acquire (serialised counters)
-      PoolRelease,  ///< world pool-compat release
     };
     Kind kind = Kind::StatFold;
     std::uint32_t dispatchIndex = 0;  ///< submitting dispatch (this shard)
@@ -495,10 +488,9 @@ class MpiWorld {
     double wireBytes = 0.0;
     double submitT = 0.0;       ///< submit-time sim clock: fabric start
     std::uint32_t pushIdx = 0;  ///< push index within the submitting dispatch
-    std::uint64_t id = 0;  ///< message id (DataArrival) / ticket (Pool*)
+    std::uint64_t id = 0;  ///< message id (DataArrival)
     double flops = 0.0;
     double dramBytes = 0.0;
-    std::size_t bytes = 0;  ///< PoolAcquire payload size
     sim::Process* sender = nullptr;  ///< CtsResume wake-up target
     /// CtsResume: the receiver's chain when the CTS left, adopted by the
     /// blocked sender (plus the CTS wire time) at wake-up.
@@ -517,7 +509,6 @@ class MpiWorld {
     std::vector<Message> inflight;
     std::vector<std::uint32_t> freeSlots;
     std::uint64_t nextMessageId = 0;
-    std::uint64_t nextPoolTicket = 0;
     std::uint64_t messageCount = 0;  ///< order-free partial of stats_
     double payloadBytes = 0.0;       ///< exact integer-valued partial sum
     std::vector<DeferredOp> ops;
@@ -600,6 +591,11 @@ class MpiWorld {
   void traceSpan(int rank, SpanKind kind, double begin, double end,
                  int peer = -1, std::size_t bytes = 0,
                  std::uint64_t comm = 0);
+  /// Make at least `count` pools and reset their counters for this run
+  /// (parked buffers survive, so repeat runs start warm).
+  void preparePools(std::size_t count);
+  /// Trim every pool to its high-water and sum its counters into stats_.
+  void harvestPools();
   /// Fold fabric link telemetry and the end rank's chain into stats_
   /// (called at the end of run()/runSharded() before teardown).
   void harvestPathAndLinks();
@@ -625,9 +621,9 @@ class MpiWorld {
   std::uint64_t nextMessageId_ = 0;
   bool tracing_ = false;
   Tracer tracer_;
-  // Payload buffers survive across run() calls (stats are reset per run),
-  // so repeated runs on one world start with a warm pool.
-  PayloadPool pool_;
+  /// Payload pools, one per shard (see payloadPools()). Buffers survive
+  /// across run() calls, so repeated runs on one world start warm.
+  std::vector<PayloadPool> pools_;
   std::vector<Message> inflight_;
   std::vector<std::uint32_t> freeSlots_;
 
@@ -636,25 +632,6 @@ class MpiWorld {
   std::vector<Engine> engines_;   // rebuilt per run()
   std::vector<int> shardOfRank_;  // rank -> shard index
   std::unique_ptr<sim::ShardScheduler> scheduler_;
-  /// Per-shard payload pools (compat disabled; the canonical counters come
-  /// from worldPoolCompat_). Persistent across runs, like pool_.
-  std::vector<PayloadPool> shardPools_;
-  /// Legacy pool accounting replayed in canonical order at the barriers —
-  /// the source of the serialised pool counters on sharded runs. Persists
-  /// across runs so repeat runs mirror the warm-pool behaviour of pool_.
-  PayloadPool::CompatModel worldPoolCompat_;
-  /// Canonical size-class accounting replayed alongside worldPoolCompat_ at
-  /// the barriers: an exact capacity-only mirror of the size-classed pool
-  /// the single-queue path runs, so the serialised per-class counters are
-  /// shard-count-invariant too. Persists across runs, like pool_.
-  PayloadPool::ClassModel worldPoolClass_;
-  /// poolTicketCaps_[shard][seq] = model capacities of that acquire, handed
-  /// back to the matching release.
-  struct PoolTicketCaps {
-    std::size_t legacy = 0;   ///< CompatModel capacity
-    std::size_t classed = 0;  ///< ClassModel capacity
-  };
-  std::vector<std::vector<PoolTicketCaps>> poolTicketCaps_;
   // Virtual global-queue replay (what the single queue's size would have
   // been at each merged dispatch) for the serialised queueHighWater.
   std::uint64_t mergedQueueSize_ = 0;

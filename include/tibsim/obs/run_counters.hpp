@@ -5,9 +5,12 @@
 // and trace memory, not just the worlds an experiment chose to showcase
 // (the imb_suite under-reporting the ROADMAP called out).
 //
-// All fields are functions of the simulated run only (no host clocks, no
-// allocator introspection), so they are safe to serialise into the
-// byte-identical campaign JSON/CSV.
+// Every field is a function of the simulated run (no host clocks). Most
+// are also independent of the engine configuration and are serialised into
+// the byte-identical campaign JSON/CSV. The payload-pool behaviour fields
+// are not: they depend on which per-shard pool parked which buffer, so they
+// stay in memory (run summary, benchmark probes) and are never written to
+// an artefact or a cache entry. The field comments mark them.
 
 #include <algorithm>
 #include <cstddef>
@@ -21,13 +24,14 @@ namespace tibsim::obs {
 
 /// Per-size-class payload-pool activity rolled up across worlds (the
 /// RunCounters analogue of PayloadPool::ClassStats; index = log2 of the
-/// class capacity). Serialised into the campaign __worlds.csv class table.
+/// class capacity). classBytes and acquires are serialised into the
+/// campaign __worlds.csv class table.
 struct PayloadClassCounters {
   std::size_t classBytes = 0;
   std::uint64_t acquires = 0;
-  std::uint64_t reuses = 0;
-  std::uint64_t allocations = 0;
-  std::uint64_t parked = 0;
+  std::uint64_t reuses = 0;       ///< in memory only
+  std::uint64_t allocations = 0;  ///< in memory only
+  std::uint64_t parked = 0;       ///< in memory only
 };
 
 struct RunCounters {
@@ -41,16 +45,18 @@ struct RunCounters {
   std::uint64_t spansRecorded = 0;  ///< spans seen by trace sinks
   std::uint64_t spansRetained = 0;  ///< spans still resident after the runs
   std::uint64_t traceMemoryPeakBytes = 0;  ///< largest single-world sink
-  // Payload memory behaviour (see mpi/payload_pool.hpp): how many messages
-  // carried real bytes inline vs in a pooled buffer, and whether the pool
-  // served sends from warm buffers (reuses) or had to allocate.
+  // Payload memory (see mpi/payload_pool.hpp): how many messages carried
+  // real bytes inline vs in a pooled buffer and how many buffers came back
+  // (serialised), and whether the pools served sends from warm buffers or
+  // had to allocate (in memory only).
   std::uint64_t payloadInlineMessages = 0;
   std::uint64_t payloadPooledMessages = 0;
-  std::uint64_t payloadPoolReuses = 0;
-  std::uint64_t payloadPoolAllocations = 0;
   std::uint64_t payloadPoolReturns = 0;
-  std::uint64_t payloadPoolTrimmedBuffers = 0;  ///< freed at teardown trims
-  std::uint64_t payloadPoolLiveHighWater = 0;   ///< worst single-world peak
+  std::uint64_t payloadPoolReuses = 0;          ///< in memory only
+  std::uint64_t payloadPoolAllocations = 0;     ///< in memory only
+  std::uint64_t payloadPoolTrimmedBuffers = 0;  ///< in memory only
+  std::uint64_t payloadPoolLiveHighWater = 0;   ///< in memory only; max over
+                                                ///< worlds
   /// Per-class pool activity (grows to the largest class any world used).
   std::vector<PayloadClassCounters> payloadPoolClasses;
   /// Per-link-kind fabric telemetry summed across worlds (net/fabric.hpp).

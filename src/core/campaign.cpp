@@ -193,16 +193,8 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
         static_cast<double>(counters->payloadInlineMessages);
     worlds["payloadPooledMessages"] =
         static_cast<double>(counters->payloadPooledMessages);
-    worlds["payloadPoolReuses"] =
-        static_cast<double>(counters->payloadPoolReuses);
-    worlds["payloadPoolAllocations"] =
-        static_cast<double>(counters->payloadPoolAllocations);
     worlds["payloadPoolReturns"] =
         static_cast<double>(counters->payloadPoolReturns);
-    worlds["payloadPoolTrimmedBuffers"] =
-        static_cast<double>(counters->payloadPoolTrimmedBuffers);
-    worlds["payloadPoolLiveHighWater"] =
-        static_cast<double>(counters->payloadPoolLiveHighWater);
     // Present only on verified runs (--verify-collectives), so unverified
     // campaign artefacts keep their exact historical bytes.
     if (counters->collectiveChecks > 0)
@@ -468,8 +460,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
         csv << "worlds,messages,payloadBytes,wireBytes,traceSpansRecorded,"
                "traceSpansRetained,traceMemoryPeakBytes,"
                "payloadInlineMessages,payloadPooledMessages,"
-               "payloadPoolReuses,payloadPoolAllocations,payloadPoolReturns,"
-               "payloadPoolTrimmedBuffers,payloadPoolLiveHighWater\n"
+               "payloadPoolReturns\n"
             << run.counters.worlds << ',' << run.counters.messages << ','
             << run.counters.payloadBytes << ',' << run.counters.wireBytes
             << ',' << run.counters.spansRecorded << ','
@@ -477,25 +468,19 @@ CampaignResult runCampaign(const CampaignOptions& options,
             << run.counters.traceMemoryPeakBytes << ','
             << run.counters.payloadInlineMessages << ','
             << run.counters.payloadPooledMessages << ','
-            << run.counters.payloadPoolReuses << ','
-            << run.counters.payloadPoolAllocations << ','
-            << run.counters.payloadPoolReturns << ','
-            << run.counters.payloadPoolTrimmedBuffers << ','
-            << run.counters.payloadPoolLiveHighWater << '\n';
-        // Per-size-class pool table, appended after a blank line so the
-        // first table keeps its historical byte layout. Only classes with
-        // activity are emitted (acquires or parked), keeping the artefact
-        // independent of how far any world's class vector happened to grow.
+            << run.counters.payloadPoolReturns << '\n';
+        // Per-size-class table of pooled acquires, after a blank line. Only
+        // classes with acquires are emitted, keeping the artefact
+        // independent of how far any pool's class vector happened to grow.
         bool classHeader = false;
         for (const obs::PayloadClassCounters& cls :
              run.counters.payloadPoolClasses) {
-          if (cls.acquires == 0 && cls.parked == 0) continue;
+          if (cls.acquires == 0) continue;
           if (!classHeader) {
-            csv << "\nclassBytes,acquires,reuses,allocations,parked\n";
+            csv << "\nclassBytes,acquires\n";
             classHeader = true;
           }
-          csv << cls.classBytes << ',' << cls.acquires << ',' << cls.reuses
-              << ',' << cls.allocations << ',' << cls.parked << '\n';
+          csv << cls.classBytes << ',' << cls.acquires << '\n';
         }
         writeFile(dir / (run.name + "__worlds.csv"), csv.str());
       }
@@ -645,9 +630,10 @@ CampaignResult runCampaign(const CampaignOptions& options,
     if (anyPath) {
       out << "-- critical path (sim time) --\n" << pathTable.render() << '\n';
     }
-    // Worlds block: message traffic and trace accounting, plus the fiber
-    // stack high-water marks (host-dependent, so summary-only — never in
-    // the serialised artefacts).
+    // Worlds block: message traffic and trace accounting, plus the payload
+    // pool reuse/allocation counts (they depend on the shard count) and the
+    // fiber stack high-water marks (host-dependent). Those four columns are
+    // summary-only, never in the serialised artefacts.
     bool anyWorlds = false;
     TextTable worldsTable({"experiment", "worlds", "messages", "spans rec",
                            "spans kept", "trace KiB", "pool reuse",
@@ -851,8 +837,9 @@ int socbenchMain(int argc, const char* const* argv) {
     } else if (arg == "--sim-shards") {
       const std::string* v = flagValue("--sim-shards");
       if (v == nullptr) return 2;
-      if (!parseNumber(*v, options.simShards)) {
-        std::cerr << "socbench: --sim-shards expects an integer, got \""
+      if (!parseNumber(*v, options.simShards) || options.simShards < 1) {
+        std::cerr << "socbench: --sim-shards expects a positive integer, "
+                     "got \""
                   << *v << "\"\n";
         return 2;
       }

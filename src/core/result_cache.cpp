@@ -174,22 +174,14 @@ json::Value countersToJson(const obs::RunCounters& c) {
   v["traceMemoryPeakBytes"] = static_cast<double>(c.traceMemoryPeakBytes);
   v["payloadInlineMessages"] = static_cast<double>(c.payloadInlineMessages);
   v["payloadPooledMessages"] = static_cast<double>(c.payloadPooledMessages);
-  v["payloadPoolReuses"] = static_cast<double>(c.payloadPoolReuses);
-  v["payloadPoolAllocations"] =
-      static_cast<double>(c.payloadPoolAllocations);
   v["payloadPoolReturns"] = static_cast<double>(c.payloadPoolReturns);
-  v["payloadPoolTrimmedBuffers"] =
-      static_cast<double>(c.payloadPoolTrimmedBuffers);
-  v["payloadPoolLiveHighWater"] =
-      static_cast<double>(c.payloadPoolLiveHighWater);
+  // Pool-behaviour counters (reuses, allocations, ...) are in memory only
+  // and stay out of the entry, like EngineStats' host-only fields.
   json::Value classes = json::Value::array();
   for (const obs::PayloadClassCounters& cls : c.payloadPoolClasses) {
     json::Value row = json::Value::array();
     row.push(static_cast<double>(cls.classBytes));
     row.push(static_cast<double>(cls.acquires));
-    row.push(static_cast<double>(cls.reuses));
-    row.push(static_cast<double>(cls.allocations));
-    row.push(static_cast<double>(cls.parked));
     classes.push(std::move(row));
   }
   v["payloadPoolClasses"] = std::move(classes);
@@ -230,28 +222,17 @@ obs::RunCounters countersFromJson(const json::Value& v) {
       static_cast<std::uint64_t>(member(v, "payloadInlineMessages"));
   c.payloadPooledMessages =
       static_cast<std::uint64_t>(member(v, "payloadPooledMessages"));
-  c.payloadPoolReuses =
-      static_cast<std::uint64_t>(member(v, "payloadPoolReuses"));
-  c.payloadPoolAllocations =
-      static_cast<std::uint64_t>(member(v, "payloadPoolAllocations"));
   c.payloadPoolReturns =
       static_cast<std::uint64_t>(member(v, "payloadPoolReturns"));
-  c.payloadPoolTrimmedBuffers =
-      static_cast<std::uint64_t>(member(v, "payloadPoolTrimmedBuffers"));
-  c.payloadPoolLiveHighWater =
-      static_cast<std::uint64_t>(member(v, "payloadPoolLiveHighWater"));
   const json::Value* classes = v.find("payloadPoolClasses");
   TIB_REQUIRE_MSG(classes != nullptr && classes->isArray(),
                   "cache entry missing payloadPoolClasses");
   for (const json::Value& row : classes->items()) {
-    TIB_REQUIRE_MSG(row.isArray() && row.size() == 5,
+    TIB_REQUIRE_MSG(row.isArray() && row.size() == 2,
                     "malformed payloadPoolClasses row");
     obs::PayloadClassCounters cls;
     cls.classBytes = static_cast<std::size_t>(row.at(0).asDouble());
     cls.acquires = static_cast<std::uint64_t>(row.at(1).asDouble());
-    cls.reuses = static_cast<std::uint64_t>(row.at(2).asDouble());
-    cls.allocations = static_cast<std::uint64_t>(row.at(3).asDouble());
-    cls.parked = static_cast<std::uint64_t>(row.at(4).asDouble());
     c.payloadPoolClasses.push_back(cls);
   }
   const json::Value* links = v.find("links");

@@ -8,156 +8,7 @@
 namespace tibsim::mpi {
 
 // ---------------------------------------------------------------------------
-// PayloadPool::CompatModel — the pre-size-class pool, counts only
-// ---------------------------------------------------------------------------
-
-std::size_t PayloadPool::CompatModel::acquire(std::size_t bytes) {
-  std::size_t capacity = 0;
-  if (!freeCaps_.empty()) {
-    capacity = freeCaps_.back();
-    freeCaps_.pop_back();
-    if (capacity >= bytes) {
-      ++stats_.reuses;
-    } else {
-      // The legacy pool cleared the vector before reserving, so libstdc++
-      // grew it to exactly the requested size — not geometrically.
-      ++stats_.allocations;
-      capacity = bytes;
-    }
-  } else {
-    ++stats_.allocations;
-    capacity = bytes;
-  }
-  ++outstanding_;
-  stats_.liveHighWater =
-      std::max<std::uint64_t>(stats_.liveHighWater, outstanding_);
-  return capacity;
-}
-
-void PayloadPool::CompatModel::release(std::size_t capacity) {
-  if (outstanding_ > 0) --outstanding_;
-  if (capacity == 0) return;  // nothing worth parking
-  ++stats_.returns;
-  freeCaps_.push_back(capacity);
-}
-
-std::size_t PayloadPool::CompatModel::trimToHighWater() {
-  // Peak demand was liveHighWater simultaneous buffers; outstanding_ of
-  // those are checked out right now, so any parked surplus beyond the
-  // difference can never be needed at once again.
-  const std::size_t highWater = static_cast<std::size_t>(stats_.liveHighWater);
-  const std::size_t keep =
-      highWater > outstanding_ ? highWater - outstanding_ : 0;
-  if (freeCaps_.size() <= keep) return 0;
-  const std::size_t drop = freeCaps_.size() - keep;
-  // Oldest (coldest) capacities sit at the front of the LIFO.
-  freeCaps_.erase(freeCaps_.begin(),
-                  freeCaps_.begin() + static_cast<std::ptrdiff_t>(drop));
-  stats_.trimmedBuffers += drop;
-  return drop;
-}
-
-// ---------------------------------------------------------------------------
-// PayloadPool::ClassModel — the size-classed pool, capacities only
-// ---------------------------------------------------------------------------
-// Every branch below mirrors the corresponding branch of PayloadPool::
-// acquire/release/trimToHighWater exactly; the equivalence holds because
-// buffer capacities are always rounded up to a class size, so classIndex of
-// a capacity recovers the class a real buffer would park in.
-
-void PayloadPool::ClassModel::ensureClass(std::size_t index) {
-  if (index < freeCaps_.size()) return;
-  freeCaps_.resize(index + 1);
-  classStats_.resize(index + 1);
-  for (std::size_t c = kMinClassIndex; c < classStats_.size(); ++c)
-    classStats_[c].classBytes = classBytes(c);
-}
-
-std::size_t PayloadPool::ClassModel::acquire(std::size_t bytes) {
-  const std::size_t cls = classIndex(bytes);
-  ensureClass(cls);
-  ++classStats_[cls].acquires;
-
-  std::size_t capacity = 0;
-  if (freeTotal_ > 0) {
-    // Donor selection identical to the real pool: own class, smallest
-    // larger class, largest smaller class.
-    std::size_t donor = cls;
-    if (freeCaps_[donor].empty()) {
-      donor = freeCaps_.size();
-      for (std::size_t c = cls + 1; c < freeCaps_.size(); ++c) {
-        if (!freeCaps_[c].empty()) {
-          donor = c;
-          break;
-        }
-      }
-      if (donor == freeCaps_.size()) {
-        for (std::size_t c = cls; c-- > 0;) {
-          if (!freeCaps_[c].empty()) {
-            donor = c;
-            break;
-          }
-        }
-      }
-    }
-    TIB_ASSERT(donor < freeCaps_.size() && !freeCaps_[donor].empty());
-    capacity = freeCaps_[donor].back();
-    freeCaps_[donor].pop_back();
-    --freeTotal_;
-    if (capacity >= bytes)
-      ++classStats_[cls].reuses;
-    else
-      ++classStats_[cls].allocations;
-  } else {
-    ++classStats_[cls].allocations;
-  }
-  // The real pool reserves up to the class size (reserve() allocates
-  // exactly, never geometrically), so the resulting capacity is the donor's
-  // capacity or the class size, whichever is larger.
-  if (capacity < classBytes(cls)) capacity = classBytes(cls);
-
-  ++outstanding_;
-  liveHighWater_ = std::max(liveHighWater_, outstanding_);
-  return capacity;
-}
-
-void PayloadPool::ClassModel::release(std::size_t capacity) {
-  if (outstanding_ > 0) --outstanding_;
-  if (capacity == 0) return;
-  const std::size_t cls = classIndex(capacity);
-  ensureClass(cls);
-  freeCaps_[cls].push_back(capacity);
-  ++freeTotal_;
-  ++classStats_[cls].parked;
-}
-
-std::size_t PayloadPool::ClassModel::trimToHighWater() {
-  const std::size_t keep =
-      liveHighWater_ > outstanding_ ? liveHighWater_ - outstanding_ : 0;
-  std::size_t dropped = 0;
-  for (std::size_t c = kMinClassIndex;
-       c < freeCaps_.size() && freeTotal_ > keep; ++c) {
-    auto& list = freeCaps_[c];
-    while (!list.empty() && freeTotal_ > keep) {
-      list.erase(list.begin());
-      --freeTotal_;
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
-void PayloadPool::ClassModel::resetStats() {
-  liveHighWater_ = outstanding_;
-  for (auto& cs : classStats_) {
-    const std::size_t bytes = cs.classBytes;
-    cs = ClassStats{};
-    cs.classBytes = bytes;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PayloadPool — the size-classed pool that actually holds memory
+// PayloadPool
 // ---------------------------------------------------------------------------
 
 std::size_t PayloadPool::classIndex(std::size_t bytes) {
@@ -174,19 +25,7 @@ void PayloadPool::ensureClass(std::size_t index) {
     classStats_[c].classBytes = classBytes(c);
 }
 
-std::uint32_t PayloadPool::mintTicket(std::size_t compatCap) {
-  if (freeTickets_.empty()) {
-    ticketCaps_.push_back(compatCap);
-    return static_cast<std::uint32_t>(ticketCaps_.size() - 1);
-  }
-  const std::uint32_t ticket = freeTickets_.back();
-  freeTickets_.pop_back();
-  ticketCaps_[ticket] = compatCap;
-  return ticket;
-}
-
-std::vector<std::byte> PayloadPool::acquire(std::span<const std::byte> data,
-                                            std::uint32_t& ticket) {
+std::vector<std::byte> PayloadPool::acquire(std::span<const std::byte> data) {
   const std::size_t bytes = data.size();
   const std::size_t cls = classIndex(bytes);
   ensureClass(cls);
@@ -220,12 +59,16 @@ std::vector<std::byte> PayloadPool::acquire(std::span<const std::byte> data,
     buffer = std::move(free_[donor].back());
     free_[donor].pop_back();
     --freeTotal_;
-    if (buffer.capacity() >= bytes)
+    if (buffer.capacity() >= bytes) {
       ++classStats_[cls].reuses;
-    else
+      ++stats_.reuses;
+    } else {
       ++classStats_[cls].allocations;
+      ++stats_.allocations;
+    }
   } else {
     ++classStats_[cls].allocations;
+    ++stats_.allocations;
   }
 
   if (buffer.capacity() < classBytes(cls)) buffer.reserve(classBytes(cls));
@@ -233,18 +76,14 @@ std::vector<std::byte> PayloadPool::acquire(std::span<const std::byte> data,
   buffer.insert(buffer.end(), data.begin(), data.end());
 
   ++outstanding_;
-  liveHighWater_ = std::max(liveHighWater_, outstanding_);
-  ticket = compatEnabled_ ? mintTicket(compat_.acquire(bytes)) : kNoTicket;
+  if (outstanding_ > 0)
+    stats_.liveHighWater = std::max(stats_.liveHighWater,
+                                    static_cast<std::uint64_t>(outstanding_));
   return buffer;
 }
 
-void PayloadPool::release(std::vector<std::byte>&& buffer,
-                          std::uint32_t ticket) {
-  if (outstanding_ > 0) --outstanding_;
-  if (compatEnabled_ && ticket != kNoTicket) {
-    compat_.release(ticketCaps_[ticket]);
-    freeTickets_.push_back(ticket);
-  }
+void PayloadPool::release(std::vector<std::byte>&& buffer) {
+  --outstanding_;
   if (buffer.capacity() == 0) return;
   // Capacities are rounded up to a class size on acquire, so this maps the
   // buffer straight back to the class it was reserved for (or the larger
@@ -255,11 +94,17 @@ void PayloadPool::release(std::vector<std::byte>&& buffer,
   free_[cls].push_back(std::move(buffer));
   ++freeTotal_;
   ++classStats_[cls].parked;
+  ++stats_.returns;
 }
 
 std::size_t PayloadPool::trimToHighWater() {
-  const std::size_t keep =
-      liveHighWater_ > outstanding_ ? liveHighWater_ - outstanding_ : 0;
+  // Peak demand was liveHighWater simultaneous buffers; the ones checked
+  // out right now need no parked buffer. A negative count (a pool that
+  // received more than it sent) has nothing checked out.
+  const auto out = static_cast<std::uint64_t>(std::max<std::int64_t>(
+      outstanding_, 0));
+  const std::size_t keep = static_cast<std::size_t>(
+      stats_.liveHighWater > out ? stats_.liveHighWater - out : 0);
   std::size_t dropped = 0;
   // Drop the smallest classes' coldest (oldest, front-of-list) buffers
   // first: the large classes hold the buffers that are expensive to
@@ -273,13 +118,14 @@ std::size_t PayloadPool::trimToHighWater() {
       ++dropped;
     }
   }
-  if (compatEnabled_) compat_.trimToHighWater();
+  stats_.trimmedBuffers += dropped;
   return dropped;
 }
 
 void PayloadPool::resetStats() {
-  compat_.resetStats();
-  liveHighWater_ = outstanding_;
+  stats_ = Stats{};
+  stats_.liveHighWater =
+      static_cast<std::uint64_t>(std::max<std::int64_t>(outstanding_, 0));
   for (auto& cs : classStats_) {
     const std::size_t bytes = cs.classBytes;
     cs = ClassStats{};
@@ -300,7 +146,7 @@ MessagePayload::MessagePayload(std::span<const std::byte> data,
     pool.noteInlineMessage();
     return;
   }
-  buffer_ = pool.acquire(data, ticket_);
+  buffer_ = pool.acquire(data);
   pooled_ = true;
   pool.notePooledMessage();
 }
@@ -308,8 +154,7 @@ MessagePayload::MessagePayload(std::span<const std::byte> data,
 std::vector<std::byte> MessagePayload::intoVector(PayloadPool& pool) {
   std::vector<std::byte> out(view().begin(), view().end());
   if (pooled_) {
-    pool.release(std::move(buffer_),
-                 std::exchange(ticket_, PayloadPool::kNoTicket));
+    pool.release(std::move(buffer_));
     pooled_ = false;
   }
   size_ = 0;

@@ -286,26 +286,10 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   }
 
   // Small payloads ride inline in the Message; larger ones borrow a warm
-  // buffer from the pool (recycled by doRecv/wait), so a steady-state send
-  // performs no heap allocation. Sharded runs use this shard's pool and
-  // additionally record the acquire against the world-level compat model
-  // (replayed canonically at the barrier — see payload_pool.hpp).
-  const int srcShard = shardOfRank(ctx.rank());
+  // buffer from the sender's shard pool (recycled by doRecv/wait), so a
+  // steady-state send performs no heap allocation.
   MessagePayload copy(
-      payload,
-      eng != nullptr ? shardPools_[static_cast<std::size_t>(srcShard)]
-                     : pool_);
-  std::uint64_t poolTicket = kNoPoolTicket;
-  if (eng != nullptr && copy.pooled()) {
-    poolTicket = (static_cast<std::uint64_t>(srcShard) << 32) |
-                 eng->nextPoolTicket++;
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::PoolAcquire;
-    op.dispatchIndex = eng->sim->currentDispatchIndex();
-    op.bytes = payload.size();
-    op.id = poolTicket;
-    eng->ops.push_back(std::move(op));
-  }
+      payload, pools_[static_cast<std::size_t>(shardOfRank(ctx.rank()))]);
   const int srcNode = ctx.node();
   const int dstNode = nodeOfRank(dst);
   sim::Simulation& sim = simFor(ctx.rank());
@@ -323,7 +307,6 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
               bytes, comm);
     Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
                 side, nullptr, nextLocalMessageId(eng)};
-    msg.poolTicket = poolTicket;
     msg.comm = comm;
     msg.verify = ctx.activeCollective_;
     msg.path = ctx.path_;
@@ -347,7 +330,6 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
         costs.wireSeconds * platform().nicLinkRateBytesPerS;
     Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
                 costs.receiverSeconds, nullptr, nextLocalMessageId(eng)};
-    msg.poolTicket = poolTicket;
     msg.comm = comm;
     msg.verify = ctx.activeCollective_;
     msg.path = ctx.path_;
@@ -383,7 +365,6 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   Message msg{ctx.rank(), tag,     bytes, std::move(copy),
               Stage::RtsPending,   costs.receiverSeconds,
               &ctx.process_,       id};
-  msg.poolTicket = poolTicket;
   msg.comm = comm;
   msg.verify = ctx.activeCollective_;
   if (eng == nullptr) {
@@ -511,24 +492,15 @@ std::uint32_t MpiWorld::stashFor(int dstRank, Message&& message) {
 
 std::vector<std::byte> MpiWorld::consumeSlot(int rank, std::uint32_t slot) {
   if (!sharded_) {
-    std::vector<std::byte> out = inflight_[slot].payload.intoVector(pool_);
+    std::vector<std::byte> out = inflight_[slot].payload.intoVector(pools_[0]);
     freeSlots_.push_back(slot);
     return out;
   }
   Engine& eng = engineOf(rank);
-  Message& msg = eng.inflight[slot];
-  if (msg.payload.pooled() && msg.poolTicket != kNoPoolTicket) {
-    // Mirror the release into the world compat model in canonical order.
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::PoolRelease;
-    op.dispatchIndex = eng.sim->currentDispatchIndex();
-    op.id = msg.poolTicket;
-    eng.ops.push_back(std::move(op));
-  }
   // The buffer parks in the *consuming* shard's pool: warm buffers migrate
   // toward the ranks that actually receive large payloads.
-  std::vector<std::byte> out = msg.payload.intoVector(
-      shardPools_[static_cast<std::size_t>(shardOfRank(rank))]);
+  std::vector<std::byte> out = eng.inflight[slot].payload.intoVector(
+      pools_[static_cast<std::size_t>(shardOfRank(rank))]);
   eng.freeSlots.push_back(slot);
   return out;
 }
@@ -714,7 +686,7 @@ WorldStats MpiWorld::run(const RankBody& body) {
   contexts_.clear();
   inflight_.clear();
   freeSlots_.clear();
-  pool_.resetStats();  // parked buffers survive: repeat runs start warm
+  preparePools(1);
   stats_ = WorldStats{};
   stats_.nodes = nodes_;
   stats_.rankFinishSeconds.assign(static_cast<std::size_t>(ranks_), 0.0);
@@ -742,18 +714,7 @@ WorldStats MpiWorld::run(const RankBody& body) {
   stats_.traceSpansRecorded = tracer_.spansRecorded();
   stats_.traceSpansRetained = tracer_.spansRetained();
   stats_.traceMemoryBytes = tracer_.memoryBytes();
-  // World-teardown checkpoint: drop parked buffers this run's peak demand
-  // could never use at once, then harvest the counters (trim included).
-  pool_.trimToHighWater();
-  const PayloadPool::Stats& poolStats = pool_.stats();
-  stats_.payloadInlineMessages = poolStats.inlineMessages;
-  stats_.payloadPooledMessages = poolStats.pooledMessages;
-  stats_.payloadPoolReuses = poolStats.reuses;
-  stats_.payloadPoolAllocations = poolStats.allocations;
-  stats_.payloadPoolReturns = poolStats.returns;
-  stats_.payloadPoolTrimmedBuffers = poolStats.trimmedBuffers;
-  stats_.payloadPoolLiveHighWater = poolStats.liveHighWater;
-  stats_.payloadPoolClassStats = pool_.classStats();
+  harvestPools();
   for (const auto& ctx : contexts_)
     stats_.collectiveChecks += ctx->collectiveChecks_;
 
@@ -769,6 +730,38 @@ WorldStats MpiWorld::run(const RankBody& body) {
   stats_.fabricQueueingSeconds = fabric_->totalQueueingSeconds();
   harvestPathAndLinks();
   return stats_;
+}
+
+void MpiWorld::preparePools(std::size_t count) {
+  if (pools_.size() < count) pools_.resize(count);
+  for (PayloadPool& pool : pools_) pool.resetStats();
+}
+
+void MpiWorld::harvestPools() {
+  // World-teardown checkpoint: drop parked buffers each pool's peak demand
+  // could never use at once, then sum the counters (trims included). Sums
+  // only, so the traffic counters are the same for every shard count.
+  for (PayloadPool& pool : pools_) {
+    pool.trimToHighWater();
+    const PayloadPool::Stats& ps = pool.stats();
+    stats_.payloadInlineMessages += ps.inlineMessages;
+    stats_.payloadPooledMessages += ps.pooledMessages;
+    stats_.payloadPoolReturns += ps.returns;
+    stats_.payloadPoolReuses += ps.reuses;
+    stats_.payloadPoolAllocations += ps.allocations;
+    stats_.payloadPoolTrimmedBuffers += ps.trimmedBuffers;
+    stats_.payloadPoolLiveHighWater += ps.liveHighWater;
+    auto& classes = stats_.payloadPoolClassStats;
+    const auto& poolClasses = pool.classStats();
+    if (classes.size() < poolClasses.size()) classes.resize(poolClasses.size());
+    for (std::size_t c = 0; c < poolClasses.size(); ++c) {
+      classes[c].classBytes = poolClasses[c].classBytes;
+      classes[c].acquires += poolClasses[c].acquires;
+      classes[c].reuses += poolClasses[c].reuses;
+      classes[c].allocations += poolClasses[c].allocations;
+      classes[c].parked += poolClasses[c].parked;
+    }
+  }
 }
 
 void MpiWorld::harvestPathAndLinks() {

@@ -11,13 +11,13 @@
 //    the exact order the single global queue would have dispatched,
 //    assigning every dispatch its global ordinal along the way;
 //  * side effects whose result depends on that global order — fabric
-//    occupancy, totalFlops/totalDramBytes folds, trace spans, the
-//    serialised payload-pool counters, the queue high-water mark, and every
-//    event pushed toward another shard — were deferred in-window and are
-//    replayed here, serially, in the merged order;
+//    occupancy, totalFlops/totalDramBytes folds, trace spans, the queue
+//    high-water mark, and every event pushed toward another shard — were
+//    deferred in-window and are replayed here, serially, in the merged
+//    order;
 //  * order-free counters (message counts, per-node CPU seconds, per-rank
-//    finish times) stay in-window on shard-disjoint state and are summed at
-//    the end.
+//    finish times, payload-pool traffic counters) stay in-window on
+//    shard-disjoint state and are summed at the end.
 //
 // Anything in-window therefore touches only shard-local state; anything
 // global happens at a barrier on one thread. That split is also what the
@@ -115,22 +115,6 @@ void MpiWorld::executeOp(DeferredOp& op, std::uint64_t g) {
       stats_.totalFlops += op.flops;
       stats_.totalDramBytes += op.dramBytes;
       break;
-    case DeferredOp::Kind::PoolAcquire: {
-      auto& caps = poolTicketCaps_[static_cast<std::size_t>(op.id >> 32)];
-      const std::size_t seq = static_cast<std::size_t>(op.id & 0xffffffffu);
-      if (seq >= caps.size()) caps.resize(seq + 1);
-      caps[seq].legacy = worldPoolCompat_.acquire(op.bytes);
-      caps[seq].classed = worldPoolClass_.acquire(op.bytes);
-      break;
-    }
-    case DeferredOp::Kind::PoolRelease: {
-      const PoolTicketCaps& caps =
-          poolTicketCaps_[static_cast<std::size_t>(op.id >> 32)]
-                         [static_cast<std::size_t>(op.id & 0xffffffffu)];
-      worldPoolCompat_.release(caps.legacy);
-      worldPoolClass_.release(caps.classed);
-      break;
-    }
   }
 }
 
@@ -237,16 +221,7 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   contexts_.clear();
   inflight_.clear();
   freeSlots_.clear();
-  while (shardPools_.size() < static_cast<std::size_t>(shards)) {
-    shardPools_.emplace_back();
-    // The serialised counters come from worldPoolCompat_, replayed in
-    // canonical order; the per-shard models would be shard-order-local.
-    shardPools_.back().disableCompat();
-  }
-  for (PayloadPool& pool : shardPools_) pool.resetStats();
-  worldPoolCompat_.resetStats();
-  worldPoolClass_.resetStats();
-  poolTicketCaps_.assign(static_cast<std::size_t>(shards), {});
+  preparePools(static_cast<std::size_t>(shards));
 
   stats_ = WorldStats{};
   stats_.nodes = nodes_;
@@ -399,28 +374,7 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   stats_.traceSpansRetained = tracer_.spansRetained();
   stats_.traceMemoryBytes = tracer_.memoryBytes();
 
-  // World-teardown checkpoint, mirroring the single-queue path: trim the
-  // real per-shard pools, trim the canonical models, and serialise the
-  // canonical counters (plus order-free per-shard sums). The per-class
-  // table comes from worldPoolClass_ — the canonical replay — NOT from
-  // summing the per-shard pools, whose donor choices are shard-order-local
-  // and would make the serialised table depend on the shard count.
-  for (std::size_t s = 0; s < static_cast<std::size_t>(shards); ++s)
-    shardPools_[s].trimToHighWater();
-  worldPoolCompat_.trimToHighWater();
-  worldPoolClass_.trimToHighWater();
-  const PayloadPool::Stats& poolStats = worldPoolCompat_.stats();
-  stats_.payloadPoolReuses = poolStats.reuses;
-  stats_.payloadPoolAllocations = poolStats.allocations;
-  stats_.payloadPoolReturns = poolStats.returns;
-  stats_.payloadPoolTrimmedBuffers = poolStats.trimmedBuffers;
-  stats_.payloadPoolLiveHighWater = poolStats.liveHighWater;
-  stats_.payloadPoolClassStats = worldPoolClass_.classStats();
-  for (std::size_t s = 0; s < static_cast<std::size_t>(shards); ++s) {
-    const PayloadPool::Stats& ps = shardPools_[s].stats();
-    stats_.payloadInlineMessages += ps.inlineMessages;
-    stats_.payloadPooledMessages += ps.pooledMessages;
-  }
+  harvestPools();
   // Per-rank verifier counters fold after the shard threads joined, so the
   // sum is single-threaded and shard-invariant.
   for (const auto& ctx : contexts_)

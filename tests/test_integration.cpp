@@ -99,7 +99,7 @@ TEST(Integration, HplGreen500AtModerateScale) {
   cluster::ClusterSpec spec = cluster::ClusterSpec::tibidabo();
   cluster::ClusterSimulation sim(spec);
   // 16 nodes with a reduced memory fraction keeps the test fast; the
-  // full 96-node run lives in bench/hpl_green500.
+  // full 96-node run is the hpl_green500 experiment.
   const auto result = apps::HplBenchmark::run(sim, 16, 0.10);
   EXPECT_GT(result.efficiency(), 0.35);
   EXPECT_LT(result.efficiency(), 0.60);

@@ -698,34 +698,14 @@ TEST_P(SimMpiCollectivesTest, PipelinedBcastCausality) {
   for (double t : finish) EXPECT_GT(t, 0.05);
 }
 
-namespace {
-// The ticket pairs an acquire with its release for the pool's legacy-compat
-// accounting; the tests thread it alongside the buffer like MessagePayload
-// does internally.
-struct PooledBuf {
-  std::vector<std::byte> buf;
-  std::uint32_t ticket = PayloadPool::kNoTicket;
-};
-
-PooledBuf poolAcquire(PayloadPool& pool, std::span<const std::byte> data) {
-  PooledBuf out;
-  out.buf = pool.acquire(data, out.ticket);
-  return out;
-}
-
-void poolRelease(PayloadPool& pool, PooledBuf&& pooled) {
-  pool.release(std::move(pooled.buf), pooled.ticket);
-}
-}  // namespace
-
 TEST(PayloadPool, AcquireCopiesAndCountsAllocations) {
   PayloadPool pool;
   std::vector<std::byte> data(4096);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::byte>(i);
-  const PooledBuf buf = poolAcquire(pool, data);
-  ASSERT_EQ(buf.buf.size(), data.size());
-  EXPECT_EQ(std::memcmp(buf.buf.data(), data.data(), data.size()), 0);
+  const std::vector<std::byte> buf = pool.acquire(data);
+  ASSERT_EQ(buf.size(), data.size());
+  EXPECT_EQ(std::memcmp(buf.data(), data.data(), data.size()), 0);
   EXPECT_EQ(pool.stats().allocations, 1u);
   EXPECT_EQ(pool.stats().reuses, 0u);
   EXPECT_EQ(pool.freeBuffers(), 0u);
@@ -734,26 +714,26 @@ TEST(PayloadPool, AcquireCopiesAndCountsAllocations) {
 TEST(PayloadPool, ReleasedBuffersAreReusedLifoWithoutAllocating) {
   PayloadPool pool;
   const std::vector<std::byte> data(1024, std::byte{0x5a});
-  PooledBuf buf = poolAcquire(pool, data);
-  poolRelease(pool, std::move(buf));
+  std::vector<std::byte> buf = pool.acquire(data);
+  pool.release(std::move(buf));
   EXPECT_EQ(pool.stats().returns, 1u);
   EXPECT_EQ(pool.freeBuffers(), 1u);
-  const PooledBuf again = poolAcquire(pool, data);
+  const std::vector<std::byte> again = pool.acquire(data);
   EXPECT_EQ(pool.stats().allocations, 1u);  // unchanged: served from pool
   EXPECT_EQ(pool.stats().reuses, 1u);
   EXPECT_EQ(pool.freeBuffers(), 0u);
-  EXPECT_EQ(again.buf.size(), data.size());
-  EXPECT_EQ(std::memcmp(again.buf.data(), data.data(), data.size()), 0);
+  EXPECT_EQ(again.size(), data.size());
+  EXPECT_EQ(std::memcmp(again.data(), data.data(), data.size()), 0);
 }
 
 TEST(PayloadPool, EveryAcquireIsEitherReuseOrAllocation) {
   PayloadPool pool;
   const std::vector<std::byte> data(512, std::byte{7});
   for (int round = 0; round < 5; ++round) {
-    PooledBuf a = poolAcquire(pool, data);
-    PooledBuf b = poolAcquire(pool, data);
-    poolRelease(pool, std::move(a));
-    poolRelease(pool, std::move(b));
+    std::vector<std::byte> a = pool.acquire(data);
+    std::vector<std::byte> b = pool.acquire(data);
+    pool.release(std::move(a));
+    pool.release(std::move(b));
   }
   const PayloadPool::Stats& s = pool.stats();
   EXPECT_EQ(s.reuses + s.allocations, 10u);
@@ -765,19 +745,19 @@ TEST(PayloadPool, EveryAcquireIsEitherReuseOrAllocation) {
 TEST(PayloadPool, LiveHighWaterTracksPeakSimultaneousBuffers) {
   PayloadPool pool;
   const std::vector<std::byte> data(256, std::byte{3});
-  PooledBuf a = poolAcquire(pool, data);
-  PooledBuf b = poolAcquire(pool, data);
-  PooledBuf c = poolAcquire(pool, data);
-  EXPECT_EQ(pool.outstandingBuffers(), 3u);
+  std::vector<std::byte> a = pool.acquire(data);
+  std::vector<std::byte> b = pool.acquire(data);
+  std::vector<std::byte> c = pool.acquire(data);
+  EXPECT_EQ(pool.outstandingBuffers(), 3);
   EXPECT_EQ(pool.stats().liveHighWater, 3u);
-  poolRelease(pool, std::move(a));
-  poolRelease(pool, std::move(b));
-  poolRelease(pool, std::move(c));
-  EXPECT_EQ(pool.outstandingBuffers(), 0u);
+  pool.release(std::move(a));
+  pool.release(std::move(b));
+  pool.release(std::move(c));
+  EXPECT_EQ(pool.outstandingBuffers(), 0);
   // The mark records the peak, not the current level.
   EXPECT_EQ(pool.stats().liveHighWater, 3u);
   // Serial churn afterwards never raises it.
-  for (int i = 0; i < 4; ++i) poolRelease(pool, poolAcquire(pool, data));
+  for (int i = 0; i < 4; ++i) pool.release(pool.acquire(data));
   EXPECT_EQ(pool.stats().liveHighWater, 3u);
 }
 
@@ -785,9 +765,9 @@ TEST(PayloadPool, TrimToHighWaterFreesColdSurplus) {
   PayloadPool pool;
   const std::vector<std::byte> data(256, std::byte{4});
   // Burst: five buffers live at once, then all parked.
-  std::vector<PooledBuf> live;
-  for (int i = 0; i < 5; ++i) live.push_back(poolAcquire(pool, data));
-  for (auto& buf : live) poolRelease(pool, std::move(buf));
+  std::vector<std::vector<std::byte>> live;
+  for (int i = 0; i < 5; ++i) live.push_back(pool.acquire(data));
+  for (auto& buf : live) pool.release(std::move(buf));
   live.clear();
   EXPECT_EQ(pool.freeBuffers(), 5u);
   // Peak demand was 5 simultaneous buffers, so nothing is surplus yet.
@@ -796,7 +776,7 @@ TEST(PayloadPool, TrimToHighWaterFreesColdSurplus) {
   // A new accounting window with only serial traffic: the observed peak
   // drops to 1, and the next trim frees the four cold buffers.
   pool.resetStats();
-  poolRelease(pool, poolAcquire(pool, data));
+  pool.release(pool.acquire(data));
   EXPECT_EQ(pool.stats().liveHighWater, 1u);
   EXPECT_EQ(pool.trimToHighWater(), 4u);
   EXPECT_EQ(pool.freeBuffers(), 1u);
@@ -808,14 +788,14 @@ TEST(PayloadPool, TrimToHighWaterFreesColdSurplus) {
 TEST(PayloadPool, TrimAccountsForBuffersStillOutstanding) {
   PayloadPool pool;
   const std::vector<std::byte> data(128, std::byte{5});
-  PooledBuf held = poolAcquire(pool, data);
-  PooledBuf other = poolAcquire(pool, data);
-  poolRelease(pool, std::move(other));
+  std::vector<std::byte> held = pool.acquire(data);
+  std::vector<std::byte> other = pool.acquire(data);
+  pool.release(std::move(other));
   // Peak 2, one checked out, one parked: parked + outstanding == peak, so
   // the parked buffer must survive the trim.
   EXPECT_EQ(pool.trimToHighWater(), 0u);
   EXPECT_EQ(pool.freeBuffers(), 1u);
-  poolRelease(pool, std::move(held));
+  pool.release(std::move(held));
 }
 
 TEST(PayloadPool, SizeClassesRoundCapacityUpAndKeepWarmBuffersPerClass) {
@@ -827,64 +807,44 @@ TEST(PayloadPool, SizeClassesRoundCapacityUpAndKeepWarmBuffersPerClass) {
   EXPECT_EQ(PayloadPool::classBytes(PayloadPool::classIndex(4000)), 4096u);
   const std::vector<std::byte> small(100, std::byte{1});
   const std::vector<std::byte> large(4000, std::byte{2});
-  PooledBuf s = poolAcquire(pool, small);
-  PooledBuf l = poolAcquire(pool, large);
-  EXPECT_EQ(s.buf.capacity(), 128u);
-  EXPECT_EQ(l.buf.capacity(), 4096u);
-  poolRelease(pool, std::move(s));
-  poolRelease(pool, std::move(l));
+  std::vector<std::byte> s = pool.acquire(small);
+  std::vector<std::byte> l = pool.acquire(large);
+  EXPECT_EQ(s.capacity(), 128u);
+  EXPECT_EQ(l.capacity(), 4096u);
+  pool.release(std::move(s));
+  pool.release(std::move(l));
   // Each request is served from its own class: the small request must not
   // consume (and under-size) the large parked buffer or vice versa.
-  PooledBuf s2 = poolAcquire(pool, small);
-  EXPECT_EQ(s2.buf.capacity(), 128u);
-  PooledBuf l2 = poolAcquire(pool, large);
-  EXPECT_EQ(l2.buf.capacity(), 4096u);
+  std::vector<std::byte> s2 = pool.acquire(small);
+  EXPECT_EQ(s2.capacity(), 128u);
+  std::vector<std::byte> l2 = pool.acquire(large);
+  EXPECT_EQ(l2.capacity(), 4096u);
   const auto& cs = pool.classStats();
   EXPECT_EQ(cs[PayloadPool::classIndex(100)].reuses, 1u);
   EXPECT_EQ(cs[PayloadPool::classIndex(4000)].reuses, 1u);
-  poolRelease(pool, std::move(s2));
-  poolRelease(pool, std::move(l2));
+  pool.release(std::move(s2));
+  pool.release(std::move(l2));
 }
 
 TEST(PayloadPool, ClassPoolReusesWhereTheLegacyLifoWouldAllocate) {
-  // Release order large-then-small leaves the small capacity on top of the
-  // legacy LIFO, so the old pool would pop it for a large request, find it
-  // too small, and reallocate. The class pool picks the exact class instead.
-  // The serialised (compat) stats must still report the legacy outcome —
-  // that is the byte-identical artefact contract — while the class stats
-  // report the true reuse.
+  // Release order large-then-small leaves the small buffer most recently
+  // parked, so a single LIFO would pop it for a large request, find it too
+  // small, and reallocate. The class pool picks the exact class instead.
   PayloadPool pool;
   const std::vector<std::byte> small(100, std::byte{1});
   const std::vector<std::byte> large(4000, std::byte{2});
-  PooledBuf l = poolAcquire(pool, large);
-  PooledBuf s = poolAcquire(pool, small);
-  poolRelease(pool, std::move(l));
-  poolRelease(pool, std::move(s));  // small capacity now tops the legacy LIFO
-  PooledBuf l2 = poolAcquire(pool, large);
-  EXPECT_EQ(l2.buf.capacity(), 4096u);          // served from the 4096 class
-  EXPECT_EQ(pool.stats().allocations, 3u);      // legacy model reallocated
-  EXPECT_EQ(pool.stats().reuses, 0u);
+  std::vector<std::byte> l = pool.acquire(large);
+  std::vector<std::byte> s = pool.acquire(small);
+  pool.release(std::move(l));
+  pool.release(std::move(s));  // small buffer parked last
+  std::vector<std::byte> l2 = pool.acquire(large);
+  EXPECT_EQ(l2.capacity(), 4096u);          // served from the 4096 class
+  EXPECT_EQ(pool.stats().allocations, 2u);  // only the first two acquires
+  EXPECT_EQ(pool.stats().reuses, 1u);
   EXPECT_EQ(pool.classStats()[PayloadPool::classIndex(4000)].reuses, 1u);
-  poolRelease(pool, std::move(l2));
-}
-
-TEST(PayloadPool, DisableCompatStopsMintingTickets) {
-  // Per-shard pools in a sharded world run without the compat model (the
-  // world replays the canonical acquire/release order itself), so their
-  // acquires hand back kNoTicket and the legacy counters stay untouched.
-  PayloadPool pool;
-  pool.disableCompat();
-  const std::vector<std::byte> data(1024, std::byte{9});
-  PooledBuf buf = poolAcquire(pool, data);
-  EXPECT_EQ(buf.ticket, PayloadPool::kNoTicket);
-  poolRelease(pool, std::move(buf));
-  EXPECT_EQ(pool.stats().reuses + pool.stats().allocations, 0u);
-  EXPECT_EQ(pool.stats().returns, 0u);
-  // The class pool itself still works normally.
-  EXPECT_EQ(pool.freeBuffers(), 1u);
-  PooledBuf again = poolAcquire(pool, data);
-  EXPECT_EQ(pool.classStats()[PayloadPool::classIndex(1024)].reuses, 1u);
-  poolRelease(pool, std::move(again));
+  EXPECT_EQ(pool.classStats()[PayloadPool::classIndex(100)].parked, 1u);
+  EXPECT_EQ(pool.freeBuffers(), 1u);        // the small buffer stays parked
+  pool.release(std::move(l2));
 }
 
 TEST(PayloadPool, WorldRunReportsTrimAndHighWater) {
@@ -994,6 +954,65 @@ TEST_P(SimMpiTest, SteadyStatePooledSendsStopAllocating) {
   // everything after that is reuse.
   EXPECT_LE(stats.payloadPoolAllocations, 4u);
   EXPECT_GE(stats.payloadPoolReuses, 2u * kReps - 4u);
+}
+
+TEST_P(SimMpiTest, PoolCountersAreShardCountInvariantAndBalanced) {
+  // 16 ranks on 8 leaf switches; every rank sends three payload sizes
+  // (three pool classes) to a rank three leaves over. On sharded runs the
+  // buffers are acquired from the sender's shard pool and parked in the
+  // receiver's, so the per-pool counts differ by shard count. The traffic
+  // counters (the serialised ones) must not, and the real pools must
+  // account for every buffer they handed out.
+  struct Serialised {
+    std::uint64_t inlineMessages, pooledMessages, returns;
+    std::vector<std::pair<std::size_t, std::uint64_t>> classAcquires;
+    bool operator==(const Serialised&) const = default;
+  };
+  const auto runWith = [](int shards) {
+    WorldConfig cfg = testConfig();
+    cfg.topology.nodesPerLeafSwitch = 2;
+    cfg.simShards = shards;
+    MpiWorld world(cfg, 16);
+    const WorldStats stats = world.run([](MpiContext& ctx) {
+      const int n = ctx.size();
+      const int dst = (ctx.rank() + 6) % n;
+      const int src = (ctx.rank() - 6 + n) % n;
+      for (int round = 0; round < 4; ++round) {
+        for (const std::size_t bytes : {std::size_t{200}, std::size_t{3000},
+                                        std::size_t{20000}, std::size_t{8}}) {
+          const std::vector<std::byte> payload(bytes, std::byte{0x3c});
+          ctx.send(dst, round, bytes, payload);
+          EXPECT_EQ(ctx.recv(src, round), payload);
+        }
+      }
+    });
+    EXPECT_EQ(world.payloadPools().size(), static_cast<std::size_t>(shards));
+    std::int64_t outstanding = 0;
+    for (const PayloadPool& pool : world.payloadPools())
+      outstanding += pool.outstandingBuffers();
+    EXPECT_EQ(outstanding, 0) << shards << " shards";
+    EXPECT_EQ(stats.payloadPoolReuses + stats.payloadPoolAllocations,
+              stats.payloadPooledMessages)
+        << shards << " shards";
+    EXPECT_EQ(stats.payloadPoolReturns, stats.payloadPooledMessages)
+        << shards << " shards";
+    Serialised out{stats.payloadInlineMessages, stats.payloadPooledMessages,
+                   stats.payloadPoolReturns, {}};
+    std::uint64_t acquires = 0;
+    for (const PayloadPool::ClassStats& cls : stats.payloadPoolClassStats) {
+      acquires += cls.acquires;
+      if (cls.acquires > 0)
+        out.classAcquires.emplace_back(cls.classBytes, cls.acquires);
+    }
+    EXPECT_EQ(acquires, stats.payloadPooledMessages) << shards << " shards";
+    return out;
+  };
+  const Serialised base = runWith(1);
+  EXPECT_EQ(base.inlineMessages, 16u * 4u);
+  EXPECT_EQ(base.pooledMessages, 16u * 4u * 3u);
+  EXPECT_EQ(base.classAcquires.size(), 3u);
+  EXPECT_TRUE(runWith(2) == base);
+  EXPECT_TRUE(runWith(8) == base);
 }
 
 // ---------------------------------------------------------------------------

@@ -185,9 +185,24 @@ TEST(ResultCache, StoreLoadRoundTripsEveryField) {
   EXPECT_EQ(loaded->counters.messages, stored.counters.messages);
   EXPECT_EQ(loaded->counters.payloadBytes, stored.counters.payloadBytes);
   EXPECT_EQ(loaded->counters.wireBytes, stored.counters.wireBytes);
+  EXPECT_EQ(loaded->counters.payloadInlineMessages,
+            stored.counters.payloadInlineMessages);
+  EXPECT_EQ(loaded->counters.payloadPooledMessages,
+            stored.counters.payloadPooledMessages);
+  EXPECT_EQ(loaded->counters.payloadPoolReturns,
+            stored.counters.payloadPoolReturns);
   ASSERT_EQ(loaded->counters.payloadPoolClasses.size(), 1u);
   EXPECT_EQ(loaded->counters.payloadPoolClasses[0].classBytes, 256u);
-  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].reuses, 30u);
+  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].acquires, 40u);
+  // Pool-behaviour counters are in memory only, like the host-only engine
+  // fields: they come back zero.
+  EXPECT_EQ(loaded->counters.payloadPoolReuses, 0u);
+  EXPECT_EQ(loaded->counters.payloadPoolAllocations, 0u);
+  EXPECT_EQ(loaded->counters.payloadPoolTrimmedBuffers, 0u);
+  EXPECT_EQ(loaded->counters.payloadPoolLiveHighWater, 0u);
+  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].reuses, 0u);
+  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].allocations, 0u);
+  EXPECT_EQ(loaded->counters.payloadPoolClasses[0].parked, 0u);
   EXPECT_EQ(loaded->counters.links.uplink.busySeconds, 0.5);
   EXPECT_EQ(loaded->counters.links.uplink.transfers, 77u);
   EXPECT_EQ(loaded->counters.links.uplink.queueDelay.counts[3], 11u);

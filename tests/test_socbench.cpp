@@ -522,6 +522,8 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
   EXPECT_EQ(cliExit({"run", "--seed", "banana"}), 2);
   EXPECT_EQ(cliExit({"run", "--seed", "-1"}), 2);
   EXPECT_EQ(cliExit({"run", "--sim-shards", "many"}), 2);
+  EXPECT_EQ(cliExit({"run", "--sim-shards", "-3"}), 2);
+  EXPECT_EQ(cliExit({"run", "--sim-shards", "0"}), 2);
   EXPECT_EQ(cliExit({"run", "--procs", "banana"}), 2);
   EXPECT_EQ(cliExit({"run", "--procs", "0"}), 2);
   EXPECT_EQ(cliExit({"run", "--jobs=banana"}), 2);  // --flag=value spelling

@@ -1030,8 +1030,8 @@ std::vector<Finding> lintRegistryDocs(const std::string& root,
   const std::string doc = readFile(docPath);
 
   // A registered name counts as documented when EXPERIMENTS.md mentions it
-  // backticked — either exactly (`campaign`) or as the prefix of a compat
-  // binary name (`fig01_top500_transitions` documents fig01).
+  // backticked — either exactly (`campaign`) or as the prefix of a longer
+  // section name (`fig01_top500_transitions` documents fig01).
   const auto documented = [&doc](const std::string& name) {
     std::string::size_type pos = 0;
     const std::string needle = "`" + name;

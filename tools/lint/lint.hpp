@@ -67,7 +67,7 @@ std::vector<Finding> lintSource(const std::string& path,
 
 /// Cross-file rule: every ExperimentRegistry registration in root/src/core
 /// must have a matching backticked mention in root/EXPERIMENTS.md (the exact
-/// name, or a compat-binary name it prefixes, e.g. fig01 ->
+/// name, or a longer section name it prefixes, e.g. fig01 ->
 /// `fig01_top500_transitions`).
 std::vector<Finding> lintRegistryDocs(const std::string& root,
                                       const Options& options = {});

@@ -512,6 +512,13 @@ class MpiWorld {
     std::uint64_t messageCount = 0;  ///< order-free partial of stats_
     double payloadBytes = 0.0;       ///< exact integer-valued partial sum
     std::vector<DeferredOp> ops;
+    /// Submitted Deliver/DataArrival/CtsResume ops not yet replayed. While
+    /// every shard's count is zero, window barriers batch: dispatch logs
+    /// and order-insensitive ops accumulate and one deferred merge replays
+    /// them, still in exact global order (windows are time-partitioned
+    /// whether or not a merge ran). Kept per shard, so the gang's threads
+    /// never write one shared counter in-window.
+    std::uint64_t pendingChannelOps = 0;
     std::vector<PendingSpan> spans;
     // Barrier merge cursors (reset per window).
     std::size_t logCursor = 0;
@@ -548,6 +555,9 @@ class MpiWorld {
   }
 
   WorldStats runSharded(const RankBody& body, int shards);
+  /// Destroy the scheduler and every engine (single-queue and shards)
+  /// while the state their suspended fibers reference is still alive.
+  void releaseEngines();
   /// Serial window barrier: merge the shards' dispatch logs in canonical
   /// key order — assigning each dispatch its global ordinal, i.e. the exact
   /// legacy dispatch sequence — replay deferred ops and flush trace spans
@@ -643,11 +653,6 @@ class MpiWorld {
   std::vector<std::vector<std::uint64_t>> shardOrdByDispatch_;
   /// Scratch: shards with unmerged dispatch records this barrier.
   std::vector<std::size_t> mergeScratch_;
-  /// Submitted Deliver/DataArrival/CtsResume ops not yet replayed. While
-  /// zero, window barriers batch: dispatch logs and order-insensitive ops
-  /// accumulate and one deferred merge replays them, still in exact global
-  /// order (windows are time-partitioned whether or not a merge ran).
-  std::uint64_t pendingChannelOps_ = 0;
   /// Dispatch records merged across all shardBarrier() calls this run
   /// (EngineStats::shardMergeRecords).
   std::uint64_t shardMergeRecords_ = 0;

@@ -39,6 +39,7 @@ struct EngineStats {
   std::size_t shardCount = 1;       ///< logical-process shards in the run
   std::uint64_t shardWindows = 0;   ///< conservative windows executed
   std::uint64_t shardParallelWindows = 0;  ///< windows with >1 active shard
+  std::uint64_t shardFanoutWindows = 0;    ///< windows run on the worker gang
   // Shard-gang profiling (zero on the single-queue engine): what the
   // window barriers actually cost and how much merge work they did, so
   // --sim-shards tuning is measurable. Barrier host time is wall-clock and
@@ -65,6 +66,7 @@ struct EngineStats {
     shardCount = std::max(shardCount, other.shardCount);
     shardWindows += other.shardWindows;
     shardParallelWindows += other.shardParallelWindows;
+    shardFanoutWindows += other.shardFanoutWindows;
     shardBarrierCalls += other.shardBarrierCalls;
     shardBarrierSkips += other.shardBarrierSkips;
     shardMergeRecords += other.shardMergeRecords;

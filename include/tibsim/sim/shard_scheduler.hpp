@@ -19,14 +19,18 @@
 // byte-identical for any shard count.
 //
 // Windows are microseconds of simulated time, so the fork-join must cost
-// far less than a thread wake. Shards with work in a window run on a
-// dedicated gang of spin-then-sleep workers owned by the scheduler: the
-// gang spins briefly across the serial barrier (staying hot through
-// communication bursts) and parks on a condition variable through long
-// single-shard phases, where windows run inline on the calling thread
-// instead. On a single-core host the gang is empty and every window runs
-// inline — sharding then costs only the barrier, and the schedule (hence
-// every artefact) is identical either way.
+// far less than a thread wake. A window whose work is spread over shards —
+// at least two shards with kFanoutMinEvents or more events queued below
+// its end — runs on a dedicated gang of spin-then-poll workers owned by
+// the scheduler: the gang spins briefly across the serial barrier (staying
+// hot through communication bursts) and parks, polling, through long runs
+// of other windows. Those run inline on the calling thread, shard after
+// shard: most multi-shard windows hold one to three events per shard,
+// which a hand-off would cost more than it saves. On a
+// single-core host the gang is empty and every window runs inline —
+// sharding then costs only the barrier. The window bounds, the barriers
+// and the merge never depend on which thread ran a window, so the schedule
+// (hence every artefact) is identical either way.
 
 #include <atomic>
 #include <condition_variable>
@@ -35,6 +39,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -62,6 +67,20 @@ class ScopedSimShards {
  private:
   int previous_;
 };
+
+/// Queued events a shard needs below a window's end to count toward fanning
+/// the window out. Chosen by a sweep (EXPERIMENTS.md, "Shard-gang
+/// fan-out"): the largest value that keeps the 8,192-rank ARMv8 cell's
+/// wall-clock at four shards, where even small windows gain from the gang;
+/// scale_bigcluster at two shards would save more CPU at 16-32.
+inline constexpr std::size_t kFanoutMinEvents = 4;
+
+/// The fan-out rule. `queued[i]` is the number of events active shard i has
+/// queued below the window's end (a count capped at kFanoutMinEvents
+/// suffices). True when at least two shards reach kFanoutMinEvents: only
+/// then is there enough work on more than one thread to pay for the
+/// hand-off.
+bool fanOutWindow(std::span<const std::size_t> queued);
 
 /// The window loop plus the *only* sanctioned channel for putting events
 /// into another shard's queue. Shards are registered non-owning; a shard
@@ -104,41 +123,54 @@ class ShardScheduler {
   double run(const std::function<void()>& barrier);
 
   std::uint64_t windowsRun() const { return windowsRun_; }
+  /// Windows with at least two active shards.
   std::uint64_t parallelWindowsRun() const { return parallelWindowsRun_; }
+  /// Windows handed to the worker gang (the rest ran inline).
+  std::uint64_t fanoutWindowsRun() const { return fanoutWindowsRun_; }
 
   /// Gang participants for this scheduler (calling thread included):
   /// min(shards, hardware cores), or the TIBSIM_SHARD_THREADS override
-  /// (clamped to [1, shards] — tests force a multi-threaded gang on
-  /// single-core CI hosts with it).
+  /// (clamped to [1, shards]). Setting the override also fans out every
+  /// window with two or more active shards, whatever its size — tests and
+  /// CI force real cross-thread windows on small hosts with it.
   std::size_t gangParticipants() const;
 
  private:
   void startGang();
   void stopGang();
   void gangLoop();
-  /// Claim and run window shards (shared by workers and the caller).
-  void runClaimedShards();
+  /// Run one shard's window, keeping its exception for the caller.
+  void runShard(std::size_t shard);
+  /// Claim and run shards of fanned window `epoch` until none is left
+  /// (shared by workers and the caller).
+  void runClaimedShards(std::uint64_t epoch);
+  /// fanOutWindow over the active shards' queues below windowEnd_.
+  bool worthFanningOut();
 
   double lookahead_;
   std::vector<Simulation*> shards_;
   std::vector<std::size_t> active_;  ///< scratch: shards busy this window
+  std::vector<std::size_t> queued_;  ///< scratch: capped counts per active
   std::uint64_t windowsRun_ = 0;
   std::uint64_t parallelWindowsRun_ = 0;
+  std::uint64_t fanoutWindowsRun_ = 0;
+  /// TIBSIM_SHARD_THREADS is set: every multi-shard window goes to the gang.
+  bool fanOutEveryWindow_ = false;
 
-  // Window gang. The caller publishes active_ / windowEnd_, bumps epoch_,
-  // and participates; workers claim shard indices via nextShard_ and report
-  // through doneWorkers_. Workers spin ~tens of µs before parking so that
-  // back-to-back windows never pay a futex wake.
-  std::vector<std::thread> gang_;
-  double windowEnd_ = 0.0;  ///< published before the epoch_ release bump
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint32_t> nextShard_{0};
-  std::atomic<std::uint32_t> doneWorkers_{0};
-  std::atomic<std::uint32_t> sleepers_{0};
+  // Window gang. For a fanned window the caller publishes active_ and
+  // windowEnd_ with a new claim word (epoch, shard count, next index) and
+  // takes part; whoever claims a shard through the word runs it and counts
+  // it in doneShards_. The caller waits for every shard, never for a
+  // worker, and never wakes one: workers spin ~hundreds of µs between
+  // fanned windows, then park and poll for the next one.
+  double windowEnd_ = 0.0;  ///< published by the claim word's store
+  std::atomic<std::uint64_t> claim_{0};
+  std::atomic<std::size_t> doneShards_{0};
   std::atomic<bool> gangStop_{false};
   std::mutex gangMutex_;
   std::condition_variable gangWake_;
   std::exception_ptr gangError_;  ///< first window exception (gangMutex_)
+  std::vector<std::thread> gang_;  ///< last: its threads use the above
 };
 
 }  // namespace tibsim::sim

@@ -201,6 +201,12 @@ class Simulation {
   bool hasEvents() const { return !queue_.empty(); }
   /// Timestamp of the earliest queued event. Requires hasEvents().
   double nextEventTime() const;
+  /// Queued events with timestamp strictly below `t`, counting no further
+  /// than `cap`. Visits only the heap's top region below `t`, so it costs
+  /// O(cap) whatever the queue size (the shard scheduler's fan-out test).
+  std::size_t queuedBefore(double t, std::size_t cap) const {
+    return queue_.countBefore(0, t, cap);
+  }
 
   /// Dispatch every event with t strictly below `windowEnd` (the
   /// conservative-synchronisation window bound); returns the number of
@@ -286,6 +292,11 @@ class Simulation {
     std::size_t size() const { return heap_.size(); }
     void reserve(std::size_t n) { heap_.reserve(n); }
     const Event& top() const { return heap_.front(); }
+    /// Entries below time `t` in the subtree rooted at heap slot `i`,
+    /// counting at most `cap`. Heap order puts every such entry in one
+    /// connected region at the subtree's root, so the walk stops at the
+    /// first entry at or past `t` on each path.
+    std::size_t countBefore(std::size_t i, double t, std::size_t cap) const;
     void push(Event ev);
     Event pop();
     /// Rewrite provisional ord1 values via `gByD` and restore heap order

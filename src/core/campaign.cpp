@@ -593,8 +593,8 @@ CampaignResult runCampaign(const CampaignOptions& options,
     // counts and barrier host time are run-summary-only (never serialised).
     bool anyShards = false;
     TextTable shardTable({"experiment", "shards", "windows", "parallel",
-                          "barriers", "skipped", "merged recs", "ev/window",
-                          "barrier s"});
+                          "fanned", "barriers", "skipped", "merged recs",
+                          "ev/window", "barrier s"});
     for (const ExperimentRun& run : campaign.runs) {
       if (run.engine.shardCount <= 1 || run.engine.shardWindows == 0)
         continue;
@@ -602,6 +602,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
       shardTable.addRow({run.name, std::to_string(run.engine.shardCount),
                          std::to_string(run.engine.shardWindows),
                          std::to_string(run.engine.shardParallelWindows),
+                         std::to_string(run.engine.shardFanoutWindows),
                          std::to_string(run.engine.shardBarrierCalls),
                          std::to_string(run.engine.shardBarrierSkips),
                          std::to_string(run.engine.shardMergeRecords),

@@ -231,7 +231,17 @@ MpiWorld::MpiWorld(WorldConfig config, int ranks)
                                      frequencyHz_);
 }
 
-MpiWorld::~MpiWorld() = default;
+MpiWorld::~MpiWorld() { releaseEngines(); }
+
+void MpiWorld::releaseEngines() {
+  // Destroying an engine unwinds the rank fibers still suspended in it, and
+  // their stacks reference the contexts (collective guards), mailboxes,
+  // pools and in-flight slabs — so engines go first, whatever the member
+  // order or which engine the previous run used.
+  scheduler_.reset();
+  engines_.clear();
+  sim_.reset();
+}
 
 void MpiWorld::chargeCpu(int node, double seconds) {
   stats_.nodeBusySeconds[static_cast<std::size_t>(node)] += seconds;
@@ -668,6 +678,7 @@ void MpiWorld::verifyCollectiveMatch(MpiContext& ctx, const Message& message) {
 
 WorldStats MpiWorld::run(const RankBody& body) {
   const int shards = effectiveSimShards();
+  releaseEngines();
   if (shards > 1) return runSharded(body, shards);
   sharded_ = false;
   sim_ = std::make_unique<sim::Simulation>(config_.simBackend,

@@ -25,8 +25,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "tibsim/common/assert.hpp"
@@ -63,7 +61,7 @@ void MpiWorld::submitWireOp(Engine& eng, DeferredOp&& op) {
   // pushed at the barrier sorts exactly where the single-queue engine's
   // immediate push would have — (G of this dispatch, this index).
   op.pushIdx = eng.sim->notePendingPush();
-  ++pendingChannelOps_;
+  ++eng.pendingChannelOps;
   eng.ops.push_back(std::move(op));
 }
 
@@ -200,16 +198,15 @@ void MpiWorld::shardBarrier() {
     TIB_ASSERT(e.spanCursor == e.spans.size());
     e.ops.clear();
     e.spans.clear();
+    e.pendingChannelOps = 0;
     // Resolve surviving provisional event keys against this window's
     // ordinals and clear the dispatch log.
     e.sim->finalizeWindowKeys(shardOrdByDispatch_[s]);
   }
-  pendingChannelOps_ = 0;
 }
 
 WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   sharded_ = true;
-  sim_.reset();  // the single-queue engine is unused on this path
   net::TopologySpec topo = config_.topology;
   topo.nodes = nodes_;
   fabric_ = std::make_unique<net::Fabric>(topo, config_.linkTelemetry);
@@ -239,7 +236,6 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
     const int leaf = nodeOfRank(r) / perLeaf;
     shardOfRank_[static_cast<std::size_t>(r)] = (leaf * shards) / leafCount;
   }
-  engines_.clear();
   engines_.resize(static_cast<std::size_t>(shards));
   for (Engine& e : engines_) e.firstRank = -1;
   for (int r = 0; r < ranks_; ++r) {
@@ -286,11 +282,8 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   mergedQueueSize_ = static_cast<std::uint64_t>(ranks_);
   mergedQueueHighWater_ = static_cast<std::uint64_t>(ranks_);
 
-  // TIBSIM_SHARD_PROFILE=1 prints a host-side timing split (window vs
-  // barrier) to stderr — a tuning aid, never part of the artefacts. The
-  // counters themselves now feed EngineStats unconditionally (two clock
-  // reads per window barrier, noise next to the merge itself).
-  const bool profile = std::getenv("TIBSIM_SHARD_PROFILE") != nullptr;
+  // Barrier counters feed EngineStats (the run summary's shard-gang table);
+  // two clock reads per window barrier are noise next to the merge itself.
   double barrierSeconds = 0.0;
   std::uint64_t barrierCalls = 0;
   std::uint64_t barrierSkips = 0;
@@ -300,13 +293,15 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   // bounds the accumulated dispatch-log/op memory between real merges.
   constexpr std::size_t kBarrierBatchRecords = 32768;
   const auto maybeBarrier = [this, &barrierSkips, &barrierCalls] {
-    if (pendingChannelOps_ == 0) {
-      std::size_t records = 0;
-      for (Engine& e : engines_) records += e.sim->dispatchLog().size();
-      if (records < kBarrierBatchRecords) {
-        ++barrierSkips;
-        return;
-      }
+    std::uint64_t pending = 0;
+    std::size_t records = 0;
+    for (Engine& e : engines_) {
+      pending += e.pendingChannelOps;
+      records += e.sim->dispatchLog().size();
+    }
+    if (pending == 0 && records < kBarrierBatchRecords) {
+      ++barrierSkips;
+      return;
     }
     ++barrierCalls;
     shardBarrier();
@@ -326,21 +321,6 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
     barrierSeconds += secondsSince(t0);
   }
   const double hostSeconds = secondsSince(start);
-  if (profile) {
-    std::uint64_t dispatched = 0;
-    for (Engine& e : engines_) dispatched += e.sim->engineStats().eventsDispatched;
-    std::fprintf(stderr,
-                 "[shard-profile] shards=%d windows=%llu parallel=%llu "
-                 "barriers=%llu skipped=%llu barrierS=%.3f hostS=%.3f "
-                 "dispatched=%llu\n",
-                 shards,
-                 static_cast<unsigned long long>(scheduler_->windowsRun()),
-                 static_cast<unsigned long long>(
-                     scheduler_->parallelWindowsRun()),
-                 static_cast<unsigned long long>(barrierCalls),
-                 static_cast<unsigned long long>(barrierSkips), barrierSeconds,
-                 hostSeconds, static_cast<unsigned long long>(dispatched));
-  }
 
   sim::EngineStats merged;
   merged.simSeconds = finalTime;
@@ -349,6 +329,7 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   merged.shardCount = static_cast<std::size_t>(shards);
   merged.shardWindows = scheduler_->windowsRun();
   merged.shardParallelWindows = scheduler_->parallelWindowsRun();
+  merged.shardFanoutWindows = scheduler_->fanoutWindowsRun();
   merged.shardBarrierCalls = barrierCalls;
   merged.shardBarrierSkips = barrierSkips;
   merged.shardMergeRecords = shardMergeRecords_;

@@ -1,6 +1,7 @@
 #include "tibsim/sim/shard_scheduler.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -11,7 +12,11 @@ namespace tibsim::sim {
 
 namespace {
 
-int clampShards(int shards) { return std::clamp(shards, 1, 1024); }
+constexpr std::size_t kMaxShards = 1024;
+
+int clampShards(int shards) {
+  return std::clamp(shards, 1, static_cast<int>(kMaxShards));
+}
 
 int readDefaultSimShards() {
   // Same pattern as TIBSIM_SIM_BACKEND / TIBSIM_TRACE_MODE: the environment
@@ -47,11 +52,53 @@ inline void cpuRelax() {
 
 // Spin budget before a worker parks on the condition variable: long enough
 // to cover a typical barrier (~tens of µs), short enough not to burn a core
-// through a compute phase (single-shard windows run inline, so the gang
-// sees no epochs for milliseconds at a time there).
+// through a compute phase or a run of narrow windows (both run inline, so
+// the gang sees no epochs for milliseconds at a time there).
 constexpr std::uint32_t kGangSpinLimit = 20000;
 
+// How long a parked worker sleeps before it looks for a fanned window
+// again. Nobody wakes it earlier but stopGang: on a virtualised host a
+// futex wake of an idle core measured ~0.3 ms on the waker's side, longer
+// than most windows, so the caller never pays one. A wide phase after a
+// quiet one finds its workers within this period instead.
+constexpr std::chrono::microseconds kGangPollPeriod{500};
+
+// The gang's claim word: the fanned window's epoch in the high 40 bits, its
+// active shard count and next unclaimed index in 12 bits each. One word, so
+// a claim can never land in a later window.
+constexpr unsigned kClaimFieldBits = 12;
+constexpr std::uint64_t kClaimFieldMask = (1u << kClaimFieldBits) - 1;
+static_assert(kMaxShards <= kClaimFieldMask);
+std::uint64_t claimWord(std::uint64_t epoch, std::size_t count) {
+  return (epoch << (2 * kClaimFieldBits)) | (count << kClaimFieldBits);
+}
+std::uint64_t epochOf(std::uint64_t word) {
+  return word >> (2 * kClaimFieldBits);
+}
+std::size_t countOf(std::uint64_t word) {
+  return (word >> kClaimFieldBits) & kClaimFieldMask;
+}
+std::size_t nextOf(std::uint64_t word) { return word & kClaimFieldMask; }
+
+// TIBSIM_SHARD_THREADS as a positive count, or 0 when unset or unparsable.
+std::size_t shardThreadsOverride() {
+  const char* env = std::getenv("TIBSIM_SHARD_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  char* end = nullptr;
+  const long value = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || value < 1) return 0;
+  return static_cast<std::size_t>(value);
+}
+
 }  // namespace
+
+bool fanOutWindow(std::span<const std::size_t> queued) {
+  std::size_t ready = 0;
+  for (const std::size_t n : queued) {
+    if (n >= kFanoutMinEvents && ++ready == 2) return true;
+  }
+  return false;
+}
 
 int defaultSimShards() { return defaultSimShardsSlot(); }
 
@@ -71,6 +118,7 @@ ShardScheduler::~ShardScheduler() { stopGang(); }
 std::size_t ShardScheduler::addShard(Simulation* shard) {
   TIB_REQUIRE(shard != nullptr);
   TIB_REQUIRE_MSG(gang_.empty(), "cannot add shards while the gang runs");
+  TIB_REQUIRE_MSG(shards_.size() < kMaxShards, "at most 1024 shards");
   shards_.push_back(shard);
   return shards_.size() - 1;
 }
@@ -94,20 +142,15 @@ void ShardScheduler::channelPush(std::size_t dstShard, double t,
 }
 
 std::size_t ShardScheduler::gangParticipants() const {
-  const char* env = std::getenv("TIBSIM_SHARD_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1) {
-      return std::min(static_cast<std::size_t>(value), shards_.size());
-    }
-  }
+  if (const std::size_t forced = shardThreadsOverride(); forced > 0)
+    return std::min(forced, shards_.size());
   const std::size_t cores =
       std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   return std::min(shards_.size(), cores);
 }
 
 void ShardScheduler::startGang() {
+  fanOutEveryWindow_ = shardThreadsOverride() > 0;
   const std::size_t participants = gangParticipants();
   if (participants < 2) return;  // caller-only: every window runs inline
   gang_.reserve(participants - 1);
@@ -117,9 +160,9 @@ void ShardScheduler::startGang() {
 
 void ShardScheduler::stopGang() {
   if (gang_.empty()) return;
-  gangStop_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(gangMutex_);
+    gangStop_.store(true, std::memory_order_release);
   }
   gangWake_.notify_all();
   for (std::thread& t : gang_) t.join();
@@ -127,16 +170,27 @@ void ShardScheduler::stopGang() {
   gangStop_.store(false, std::memory_order_relaxed);
 }
 
-void ShardScheduler::runClaimedShards() {
-  for (;;) {
-    const std::uint32_t i = nextShard_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= active_.size()) return;
-    try {
-      shards_[active_[i]]->runWindow(windowEnd_);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(gangMutex_);
-      if (gangError_ == nullptr) gangError_ = std::current_exception();
-    }
+void ShardScheduler::runShard(std::size_t shard) {
+  try {
+    shards_[shard]->runWindow(windowEnd_);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(gangMutex_);
+    if (gangError_ == nullptr) gangError_ = std::current_exception();
+  }
+}
+
+void ShardScheduler::runClaimedShards(std::uint64_t epoch) {
+  std::uint64_t word = claim_.load(std::memory_order_acquire);
+  while (epochOf(word) == epoch && nextOf(word) < countOf(word)) {
+    if (!claim_.compare_exchange_weak(word, word + 1,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire))
+      continue;
+    // The claim pins the window: the caller touches active_ and windowEnd_
+    // again only once every claimed shard has reported done.
+    runShard(active_[nextOf(word)]);
+    doneShards_.fetch_add(1, std::memory_order_release);
+    word = claim_.load(std::memory_order_acquire);
   }
 }
 
@@ -144,25 +198,32 @@ void ShardScheduler::gangLoop() {
   std::uint64_t seen = 0;
   for (;;) {
     std::uint32_t spins = 0;
-    while (epoch_.load(std::memory_order_acquire) == seen) {
+    std::uint64_t epoch = 0;
+    while ((epoch = epochOf(claim_.load(std::memory_order_acquire))) ==
+           seen) {
       if (gangStop_.load(std::memory_order_acquire)) return;
-      if (++spins >= kGangSpinLimit) {
-        std::unique_lock<std::mutex> lock(gangMutex_);
-        sleepers_.fetch_add(1, std::memory_order_relaxed);
-        gangWake_.wait(lock, [&] {
-          return epoch_.load(std::memory_order_acquire) != seen ||
-                 gangStop_.load(std::memory_order_acquire);
-        });
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        spins = 0;
-      } else {
+      if (spins < kGangSpinLimit) {
+        ++spins;
         cpuRelax();
+        continue;
       }
+      // Parked: poll, with no handshake to lose. The caller never waits
+      // for a worker, so one that oversleeps a window costs only its help.
+      std::unique_lock<std::mutex> lock(gangMutex_);
+      gangWake_.wait_for(lock, kGangPollPeriod, [this] {
+        return gangStop_.load(std::memory_order_acquire);
+      });
     }
-    seen = epoch_.load(std::memory_order_acquire);
-    runClaimedShards();
-    doneWorkers_.fetch_add(1, std::memory_order_release);
+    seen = epoch;
+    runClaimedShards(seen);
   }
+}
+
+bool ShardScheduler::worthFanningOut() {
+  queued_.clear();
+  for (const std::size_t i : active_)
+    queued_.push_back(shards_[i]->queuedBefore(windowEnd_, kFanoutMinEvents));
+  return fanOutWindow(queued_);
 }
 
 double ShardScheduler::run(const std::function<void()>& barrier) {
@@ -197,26 +258,25 @@ double ShardScheduler::run(const std::function<void()>& barrier) {
     }
     TIB_ASSERT(!active_.empty());
     windowEnd_ = windowEnd;
-    if (active_.size() == 1 || gang_.empty()) {
+    if (active_.size() > 1) ++parallelWindowsRun_;
+    if (active_.size() == 1 || gang_.empty() ||
+        !(fanOutEveryWindow_ || worthFanningOut())) {
       // Inline path: serial and pipelined phases put all the work in one
-      // shard per window, where even a hot gang's fan-out would dominate —
-      // and a single-core host (empty gang) runs everything here.
-      nextShard_.store(0, std::memory_order_relaxed);
-      runClaimedShards();
+      // shard per window, and most multi-shard windows hold only a few
+      // events per shard — either way a hand-off to the gang would cost
+      // more than the work it splits. A single-core host (empty gang) runs
+      // everything here.
+      for (const std::size_t shard : active_) runShard(shard);
     } else {
-      ++parallelWindowsRun_;
-      nextShard_.store(0, std::memory_order_relaxed);
-      doneWorkers_.store(0, std::memory_order_relaxed);
-      epoch_.fetch_add(1, std::memory_order_release);
-      if (sleepers_.load(std::memory_order_relaxed) > 0) {
-        // Pairing the notify with the lock closes the park/bump race: a
-        // worker re-checks the epoch under the mutex before sleeping.
-        std::lock_guard<std::mutex> lock(gangMutex_);
-        gangWake_.notify_all();
-      }
-      runClaimedShards();
-      while (doneWorkers_.load(std::memory_order_acquire) <
-             static_cast<std::uint32_t>(gang_.size())) {
+      // Every fanned window is a new epoch.
+      const std::uint64_t word =
+          claimWord(++fanoutWindowsRun_, active_.size());
+      doneShards_.store(0, std::memory_order_relaxed);
+      claim_.store(word, std::memory_order_release);
+      runClaimedShards(epochOf(word));
+      // Wait for the shards, not for the workers: a worker still parked or
+      // waking up has claimed nothing, and the caller ran its share.
+      while (doneShards_.load(std::memory_order_acquire) < active_.size()) {
         cpuRelax();
       }
     }

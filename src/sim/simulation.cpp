@@ -126,6 +126,15 @@ Simulation::Event Simulation::EventQueue::pop() {
   return out;
 }
 
+std::size_t Simulation::EventQueue::countBefore(std::size_t i, double t,
+                                               std::size_t cap) const {
+  if (cap == 0 || i >= heap_.size() || heap_[i].t >= t) return 0;
+  std::size_t n = 1;
+  n += countBefore(2 * i + 1, t, cap - n);
+  n += countBefore(2 * i + 2, t, cap - n);
+  return n;
+}
+
 void Simulation::EventQueue::finalizeKeys(
     const std::vector<std::uint64_t>& gByD) {
   // Most windows leave no provisional survivors (compute phases push and

@@ -9,9 +9,12 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "scoped_env.hpp"
 #include "tibsim/apps/taskfarm.hpp"
 #include "tibsim/arch/registry.hpp"
 #include "tibsim/common/assert.hpp"
@@ -1013,6 +1016,108 @@ TEST_P(SimMpiTest, PoolCountersAreShardCountInvariantAndBalanced) {
   EXPECT_EQ(base.classAcquires.size(), 3u);
   EXPECT_TRUE(runWith(2) == base);
   EXPECT_TRUE(runWith(8) == base);
+}
+
+TEST_P(SimMpiTest, GangFansOutWideWindowsOnlyAndKeepsTheSchedule) {
+  // Two worlds on 2-node leaves, run at one and two shards. In the wide one
+  // every rank computes in lock-step, so each shard resumes 48 ranks at the
+  // same instant: windows worth splitting. In the narrow one a token walks
+  // a 16-rank ring: one or two events per window. Which thread runs a
+  // window must change nothing: not the windows, not the merge, not the
+  // results.
+  struct Run {
+    double wall;
+    std::vector<double> rankFinish;
+    std::uint64_t messages, events, switches;
+    std::size_t queueHighWater;
+    double flops, wireBytes;
+    sim::EngineStats engine;
+  };
+  const auto run = [](int ranks, int shards,
+                       const MpiWorld::RankBody& body) {
+    WorldConfig cfg = testConfig();
+    cfg.topology.nodesPerLeafSwitch = 2;
+    cfg.simShards = shards;
+    MpiWorld world(cfg, ranks);
+    const WorldStats stats = world.run(body);
+    return Run{stats.wallClockSeconds, stats.rankFinishSeconds,
+               stats.messageCount, stats.engine.eventsDispatched,
+               stats.engine.contextSwitches, stats.engine.queueHighWater,
+               stats.totalFlops, stats.wireBytes, stats.engine};
+  };
+  const auto expectSameResults = [](const Run& a, const Run& b) {
+    EXPECT_EQ(a.wall, b.wall);
+    EXPECT_EQ(a.rankFinish, b.rankFinish);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.switches, b.switches);
+    EXPECT_EQ(a.queueHighWater, b.queueHighWater);
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.wireBytes, b.wireBytes);
+  };
+  const auto expectSameSchedule = [](const Run& a, const Run& b) {
+    EXPECT_EQ(a.engine.shardWindows, b.engine.shardWindows);
+    EXPECT_EQ(a.engine.shardParallelWindows, b.engine.shardParallelWindows);
+    EXPECT_EQ(a.engine.shardMergeRecords, b.engine.shardMergeRecords);
+  };
+  const MpiWorld::RankBody wide = [](MpiContext& ctx) {
+    for (int i = 1; i <= 6; ++i) ctx.computeSeconds(1e-4 * i);
+    ctx.allreduceSum(1.0);
+  };
+  const MpiWorld::RankBody narrow = [](MpiContext& ctx) {
+    const int n = ctx.size();
+    const int next = (ctx.rank() + 1) % n;
+    const int prev = (ctx.rank() + n - 1) % n;
+    for (int lap = 0; lap < 3; ++lap) {
+      if (ctx.rank() == 0) {
+        ctx.sendDoubles(next, lap, std::vector<double>{1.0 * lap});
+        ctx.recvDoubles(prev, lap);
+      } else {
+        const std::vector<double> token = ctx.recvDoubles(prev, lap);
+        ctx.computeSeconds(1e-6);
+        ctx.sendDoubles(next, lap, token);
+      }
+    }
+  };
+
+  const Run wideBase = run(96, 1, wide);
+  const Run narrowBase = run(16, 1, narrow);
+  Run wideForced{};
+  Run narrowForced{};
+  {
+    testing::ScopedEnv forced("TIBSIM_SHARD_THREADS", "2");
+    wideForced = run(96, 2, wide);
+    narrowForced = run(16, 2, narrow);
+  }
+  testing::ScopedEnv unforced("TIBSIM_SHARD_THREADS", nullptr);
+  const Run wideGated = run(96, 2, wide);
+  const Run narrowGated = run(16, 2, narrow);
+
+  expectSameResults(wideForced, wideBase);
+  expectSameResults(wideGated, wideBase);
+  expectSameResults(narrowForced, narrowBase);
+  expectSameResults(narrowGated, narrowBase);
+  expectSameSchedule(wideGated, wideForced);
+  expectSameSchedule(narrowGated, narrowForced);
+  // The ring's schedule as the engine ran it before windows were gated.
+  EXPECT_EQ(narrowGated.engine.shardWindows, 145u);
+  EXPECT_EQ(narrowGated.engine.shardMergeRecords, 205u);
+
+  // A forced gang takes every window with two active shards.
+  EXPECT_GT(wideForced.engine.shardParallelWindows, 0u);
+  EXPECT_EQ(wideForced.engine.shardFanoutWindows,
+            wideForced.engine.shardParallelWindows);
+  // Left to the rule, the gang (if the host has one) takes the lock-step
+  // windows, and of the ring's only the first: every rank starts at t=0.
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GT(wideGated.engine.shardFanoutWindows, 0u);
+    EXPECT_LT(wideGated.engine.shardFanoutWindows,
+              wideGated.engine.shardParallelWindows);
+    EXPECT_EQ(narrowGated.engine.shardFanoutWindows, 1u);
+  } else {
+    EXPECT_EQ(wideGated.engine.shardFanoutWindows, 0u);
+    EXPECT_EQ(narrowGated.engine.shardFanoutWindows, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <vector>
 
+#include "scoped_env.hpp"
 #include "tibsim/common/assert.hpp"
 #include "tibsim/sim/shard_scheduler.hpp"
 #include "tibsim/sim/simulation.hpp"
@@ -466,6 +471,134 @@ TEST(ShardScheduler, ScopedSimShardsOverrideRestoresPrevious) {
     EXPECT_EQ(defaultSimShards(), 4);
   }
   EXPECT_EQ(defaultSimShards(), before);
+}
+
+TEST(Simulation, QueuedBeforeCountsOnlyEventsBelowTheBound) {
+  Simulation sim;
+  // Pushed out of time order so the events below the bound are spread
+  // over several heap levels rather than filling a prefix of the array.
+  for (const double t : {9.0, 1.0, 7.0, 3.0, 8.0, 2.0, 6.0, 4.0, 5.0, 3.0})
+    sim.scheduleAt(t, [] {});
+  EXPECT_EQ(sim.queuedBefore(0.5, 100), 0u);
+  EXPECT_EQ(sim.queuedBefore(3.0, 100), 2u);  // 1.0, 2.0 (strictly below)
+  EXPECT_EQ(sim.queuedBefore(5.5, 100), 6u);
+  EXPECT_EQ(sim.queuedBefore(100.0, 100), 10u);
+  // The cap bounds the walk, not just the answer.
+  EXPECT_EQ(sim.queuedBefore(5.5, 4), 4u);
+  EXPECT_EQ(sim.queuedBefore(5.5, 0), 0u);
+  sim.runUntil(3.0);  // dispatches 1.0, 2.0, 3.0, 3.0
+  EXPECT_EQ(sim.queuedBefore(5.5, 100), 2u);  // 4.0, 5.0
+}
+
+TEST(ShardScheduler, FanOutNeedsTwoShardsAtTheThreshold) {
+  constexpr std::size_t k = kFanoutMinEvents;
+  const auto fan = [](std::vector<std::size_t> queued) {
+    return fanOutWindow(queued);
+  };
+  EXPECT_FALSE(fan({}));
+  EXPECT_FALSE(fan({1000}));              // one busy shard: nothing to split
+  EXPECT_FALSE(fan({k - 1, k}));          // the lighter shard is too light
+  EXPECT_FALSE(fan({1, k, 2, k - 1}));    // only one shard reaches the bar
+  EXPECT_FALSE(fan({1, 1, 1, 1, 1, 1}));  // many shards, all narrow
+  EXPECT_TRUE(fan({k, k}));
+  EXPECT_TRUE(fan({0, k + 8, 3, k}));
+  EXPECT_TRUE(fan({k, k, k, k}));
+}
+
+// Thousands of windows that alternate between work the gang should run
+// (two shards with kFanoutMinEvents+ events each) and work it should not
+// (a few events on two shards, or one shard that sometimes blocks its
+// thread long enough for the idle gang to park). The merged dispatch order
+// must equal one queue's, and every run must finish: fanned windows find
+// their workers spinning, parked or just waking, and the caller must never
+// wait on one that claimed nothing.
+TEST(ShardScheduler, AlternatingNarrowAndWideWindowsKeepOneQueueOrder) {
+  constexpr int kRounds = 1000;
+  constexpr double kLookahead = 1.0;
+  struct Ev {
+    double t;
+    int shard;
+    int sleepUs;
+  };
+  std::vector<Ev> events;  // index = id, in push (tie-break) order
+  const int wide = static_cast<int>(kFanoutMinEvents) + 8;
+  for (int r = 0; r < kRounds; ++r) {
+    const double base = 10.0 * r;
+    // Wide window [base, base + 1): both shards busy, some exact ties.
+    for (int j = 0; j < wide; ++j) {
+      events.push_back({base + 0.01 * j, 0, 0});
+      events.push_back({base + 0.01 * j + (j % 2 == 0 ? 0.0 : 0.005), 1, 0});
+    }
+    // Narrow two-shard window [base + 3, base + 4).
+    for (int j = 0; j < 3; ++j) events.push_back({base + 3.0 + 0.1 * j, 0, 0});
+    for (int j = 0; j < 2; ++j) events.push_back({base + 3.05 + 0.1 * j, 1, 0});
+    // Narrow one-shard window [base + 6, base + 7); two in four block their
+    // thread for 0.3 or 2 ms, around the gang's spin-then-park budget.
+    static constexpr int kSleepUs[] = {0, 0, 300, 2000};
+    for (int j = 0; j < 5; ++j) {
+      events.push_back(
+          {base + 6.0 + 0.1 * j, r % 2, j == 2 ? kSleepUs[r % 4] : 0});
+    }
+  }
+  const auto fire = [&events](std::vector<int>& log, int id) {
+    log.push_back(id);
+    if (const int us = events[static_cast<std::size_t>(id)].sleepUs; us > 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(us));
+  };
+
+  std::vector<int> reference;
+  {
+    Simulation one;
+    for (int id = 0; id < static_cast<int>(events.size()); ++id)
+      one.scheduleAt(events[static_cast<std::size_t>(id)].t,
+                     [&reference, id] { reference.push_back(id); });
+    one.run();
+  }
+  ASSERT_EQ(reference.size(), events.size());
+
+  const auto sharded = [&](const char* shardThreads) {
+    testing::ScopedEnv env("TIBSIM_SHARD_THREADS", shardThreads);
+    Simulation shard0;
+    Simulation shard1;
+    Simulation* shards[] = {&shard0, &shard1};
+    std::vector<int> logs[2];
+    for (int id = 0; id < static_cast<int>(events.size()); ++id) {
+      const Ev& ev = events[static_cast<std::size_t>(id)];
+      std::vector<int>& log = logs[ev.shard];
+      shards[ev.shard]->scheduleAt(ev.t,
+                                   [&fire, &log, id] { fire(log, id); });
+    }
+    ShardScheduler sched(kLookahead);
+    sched.addShard(&shard0);
+    sched.addShard(&shard1);
+    std::vector<int> merged;
+    sched.run([&] {
+      // Each shard ran its part of the window in its own order; merge the
+      // two by (t, push order), as the world barrier does.
+      const std::size_t from = merged.size();
+      for (std::vector<int>& log : logs) {
+        merged.insert(merged.end(), log.begin(), log.end());
+        log.clear();
+      }
+      std::sort(merged.begin() + static_cast<std::ptrdiff_t>(from),
+                merged.end(), [&events](int a, int b) {
+                  return std::tie(events[static_cast<std::size_t>(a)].t, a) <
+                         std::tie(events[static_cast<std::size_t>(b)].t, b);
+                });
+    });
+    EXPECT_EQ(merged, reference);
+    EXPECT_EQ(sched.windowsRun(), 3u * kRounds);
+    EXPECT_EQ(sched.parallelWindowsRun(), 2u * kRounds);
+    return std::make_pair(sched.fanoutWindowsRun(), sched.gangParticipants());
+  };
+
+  // A forced gang fans out every window with two active shards.
+  const auto [forcedFanned, forcedGang] = sharded("2");
+  EXPECT_EQ(forcedGang, 2u);
+  EXPECT_EQ(forcedFanned, 2u * kRounds);
+  // By default only the wide windows go to the gang (if the host has one).
+  const auto [fanned, gang] = sharded(nullptr);
+  EXPECT_EQ(fanned, gang >= 2 ? static_cast<std::uint64_t>(kRounds) : 0u);
 }
 
 TEST(ExecutionContexts, ScopedOverrideRestoresPrevious) {

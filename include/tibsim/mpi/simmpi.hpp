@@ -451,17 +451,21 @@ class MpiWorld {
     double blockedSince = 0.0;
   };
 
-  // -- sharded logical-process execution (simShards > 1) -------------------
+  // -- engines: one per shard ---------------------------------------------
   // The world is partitioned into leaf-switch-contiguous shards, each with
   // its own Simulation (event queue + fiber scheduler), in-flight slab and
-  // payload pool. Shards advance concurrently inside conservative windows
-  // (sim::ShardScheduler); everything whose result depends on *global*
-  // order — fabric occupancy, totalFlops/totalDramBytes folds, trace spans,
-  // and every event pushed into another shard — is recorded as a
-  // DeferredOp / PendingSpan against the submitting dispatch and replayed
-  // serially at the window barrier in canonical merged dispatch order.
-  // That replay is what keeps campaign artefacts byte-identical for every
-  // shard count.
+  // payload pool. The single queue is the one-shard case: engines_[0] holds
+  // every rank and its Simulation dispatches without shard mode.
+  //
+  // With more than one shard (sharded_), shards advance concurrently inside
+  // conservative windows (sim::ShardScheduler); everything whose result
+  // depends on *global* order — fabric occupancy, totalFlops/totalDramBytes
+  // folds, trace spans, and every event pushed into another shard — is
+  // recorded as a DeferredOp / PendingSpan against the submitting dispatch
+  // and replayed serially at the window barrier in canonical merged
+  // dispatch order. That replay is what keeps campaign artefacts
+  // byte-identical for every shard count. On one shard the same DeferredOp
+  // runs at once (submitWireOp), so each side effect is written once.
 
   /// One trace span captured in-window, flushed to the world tracer at the
   /// barrier in canonical dispatch order (span order and the sink's memory
@@ -471,7 +475,8 @@ class MpiWorld {
     std::uint32_t dispatchIndex = 0;
   };
 
-  /// A side effect deferred from in-window execution to the barrier.
+  /// A side effect that must run in global dispatch order: at once on one
+  /// shard, deferred from in-window execution to the barrier on several.
   struct DeferredOp {
     enum class Kind : std::uint8_t {
       Deliver,      ///< fabric transfer + message into dst shard's slab
@@ -496,12 +501,10 @@ class MpiWorld {
     /// blocked sender (plus the CTS wire time) at wake-up.
     obs::PathSnapshot path{};
     MpiContext* senderCtx = nullptr;  ///< CtsResume adoption target
-    bool hasMessage = false;
-    Message message;  ///< Deliver: moved here until stashed at the barrier
+    Message message{};  ///< Deliver: built here, moved into the slab
   };
 
-  /// Per-shard engine state. The single-queue path keeps using the legacy
-  /// members below; engines_ exists only while sharded_ is true.
+  /// Per-shard engine state (one Engine on the single queue).
   struct Engine {
     std::unique_ptr<sim::Simulation> sim;
     int firstRank = 0;
@@ -511,6 +514,7 @@ class MpiWorld {
     std::uint64_t nextMessageId = 0;
     std::uint64_t messageCount = 0;  ///< order-free partial of stats_
     double payloadBytes = 0.0;       ///< exact integer-valued partial sum
+    // Window-barrier state, idle on the single queue:
     std::vector<DeferredOp> ops;
     /// Submitted Deliver/DataArrival/CtsResume ops not yet replayed. While
     /// every shard's count is zero, window barriers batch: dispatch logs
@@ -528,47 +532,59 @@ class MpiWorld {
 
   int nodeOfRank(int rank) const { return rank / config_.ranksPerNode; }
   int shardOfRank(int rank) const {
-    return sharded_ ? shardOfRank_[static_cast<std::size_t>(rank)] : 0;
-  }
-  sim::Simulation& simFor(int rank) {
-    return sharded_ ? *engines_[static_cast<std::size_t>(shardOfRank(rank))].sim
-                    : *sim_;
+    return shardOfRank_[static_cast<std::size_t>(rank)];
   }
   Engine& engineOf(int rank) {
     return engines_[static_cast<std::size_t>(shardOfRank(rank))];
   }
+  sim::Simulation& simFor(int rank) { return *engineOf(rank).sim; }
   Message& messageAt(int rank, std::uint32_t slot) {
-    return sharded_ ? engineOf(rank).inflight[slot] : inflight_[slot];
+    return engineOf(rank).inflight[slot];
   }
 
   /// Shard count this world will actually run with (policy: config value
   /// clamped to the leaf-switch count; 1 when the fabric has no lookahead).
   int effectiveSimShards() const;
 
-  /// Message id unique within any destination mailbox: the legacy global
-  /// counter, or (shard-first-rank << 40 | per-shard counter) so shards
-  /// mint ids without coordination.
-  std::uint64_t nextLocalMessageId(Engine* eng) {
-    if (eng == nullptr) return nextMessageId_++;
-    return (static_cast<std::uint64_t>(eng->firstRank) << 40) |
-           eng->nextMessageId++;
+  /// Message id unique within any destination mailbox: (shard-first-rank
+  /// << 40 | per-shard counter), so shards mint ids without coordination.
+  /// Shard 0 starts at rank 0, so the single queue's ids are its counter.
+  std::uint64_t nextLocalMessageId(Engine& eng) {
+    return (static_cast<std::uint64_t>(eng.firstRank) << 40) |
+           eng.nextMessageId++;
   }
 
-  WorldStats runSharded(const RankBody& body, int shards);
-  /// Destroy the scheduler and every engine (single-queue and shards)
-  /// while the state their suspended fibers reference is still alive.
+  /// Cut the ranks into `shards` leaf-switch-contiguous engines, each with
+  /// its own Simulation.
+  void buildEngines(int shards);
+  /// Put every engine in shard mode under a new scheduler_ (before the
+  /// first spawn).
+  void attachShardScheduler();
+  /// Drive the shards' windows and barriers to completion; returns the
+  /// merged engine counters.
+  sim::EngineStats runShardWindows();
+  /// Destroy the scheduler and every engine while the state their
+  /// suspended fibers reference is still alive.
   void releaseEngines();
   /// Serial window barrier: merge the shards' dispatch logs in canonical
   /// key order — assigning each dispatch its global ordinal, i.e. the exact
-  /// legacy dispatch sequence — replay deferred ops and flush trace spans
-  /// in that order, advance the virtual global-queue high-water replay, and
-  /// resolve surviving provisional event keys.
+  /// single-queue dispatch sequence — replay deferred ops and flush trace
+  /// spans in that order, advance the virtual global-queue high-water
+  /// replay, and resolve surviving provisional event keys.
   void shardBarrier();
+  /// executeOp's `g` on the single queue: the op's event is an ordinary
+  /// push. Barrier ordinals start at 1 (0 keys the spawn events).
+  static constexpr std::uint64_t kPushNow = 0;
+  /// Run the op's side effects: the fabric transfer from op.submitT and the
+  /// arrival event in the target shard, pushed under (g, op.pushIdx) at a
+  /// barrier, or at once when g is kPushNow.
   void executeOp(DeferredOp& op, std::uint64_t g);
-  /// Reserve the op's intra-dispatch push position, then queue it.
+  /// The one place a wire side effect is scheduled: run it now on the
+  /// single queue; when sharded, reserve its intra-dispatch push position
+  /// and queue it for the barrier.
   void submitWireOp(Engine& eng, DeferredOp&& op);
   void foldCompute(int rank, double flops, double dramBytes);
-  /// Rendezvous data-arrival completion (legacy closure body, shard-safe).
+  /// Rendezvous data-arrival completion in the destination shard.
   /// `path`/`departTime` are the sender's chain when the data left, stamped
   /// into the message here — in the destination shard — so the receiver's
   /// adoption never reads cross-shard state.
@@ -590,10 +606,9 @@ class MpiWorld {
   // In-flight message slab: a scheduled delivery captures [this, dst, slot]
   // (16 bytes, inline in the event closure) instead of the Message itself,
   // so scheduling never heap-allocates. A message lives in its slot from
-  // send to consumption; slots are recycled LIFO by consumeSlot(). Sharded
-  // runs keep one slab per shard (slots in a rank's mailbox always index
-  // its own shard's slab).
-  std::uint32_t stashInflight(Message&& message);
+  // send to consumption; slots are recycled LIFO by consumeSlot(). Each
+  // engine keeps its own slab (slots in a rank's mailbox always index its
+  // own shard's slab).
   std::uint32_t stashFor(int dstRank, Message&& message);
   /// Hand the slot's payload to the application and recycle the slot.
   std::vector<std::byte> consumeSlot(int rank, std::uint32_t slot);
@@ -607,7 +622,7 @@ class MpiWorld {
   /// Trim every pool to its high-water and sum its counters into stats_.
   void harvestPools();
   /// Fold fabric link telemetry and the end rank's chain into stats_
-  /// (called at the end of run()/runSharded() before teardown).
+  /// (called at the end of run() before teardown).
   void harvestPathAndLinks();
   /// The ContractError text for an all-ranks-blocked world: the bare
   /// deadlock line, plus the per-rank wait-state report when
@@ -623,31 +638,28 @@ class MpiWorld {
   double sameNodeCopyBandwidth_ = 0.0;  ///< bytes/s, constant per world
 
   // Rebuilt for every run():
-  std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<Mailbox> mailboxes_;
   std::vector<std::unique_ptr<MpiContext>> contexts_;
   WorldStats stats_;
-  std::uint64_t nextMessageId_ = 0;
   bool tracing_ = false;
   Tracer tracer_;
   /// Payload pools, one per shard (see payloadPools()). Buffers survive
   /// across run() calls, so repeated runs on one world start warm.
   std::vector<PayloadPool> pools_;
-  std::vector<Message> inflight_;
-  std::vector<std::uint32_t> freeSlots_;
 
-  // Sharded execution state (unused while sharded_ is false).
-  bool sharded_ = false;
-  std::vector<Engine> engines_;   // rebuilt per run()
+  std::vector<Engine> engines_;   // rebuilt per run(); one per shard
   std::vector<int> shardOfRank_;  // rank -> shard index
+  // Window-barrier state, used only when sharded_ (more than one engine).
+  bool sharded_ = false;
   std::unique_ptr<sim::ShardScheduler> scheduler_;
   // Virtual global-queue replay (what the single queue's size would have
   // been at each merged dispatch) for the serialised queueHighWater.
   std::uint64_t mergedQueueSize_ = 0;
   std::uint64_t mergedQueueHighWater_ = 0;
   /// Next global dispatch ordinal (the barrier merge numbers every dispatch
-  /// in exact legacy order; ordinal 0 is reserved for pre-run spawns).
+  /// in exact single-queue order; ordinal 0 is reserved for pre-run
+  /// spawns).
   std::uint64_t nextGlobalOrd_ = 1;
   /// Scratch, per shard: global ordinal of each local dispatch this window.
   std::vector<std::vector<std::uint64_t>> shardOrdByDispatch_;

@@ -136,10 +136,14 @@ void runWorkerProcesses(const std::vector<std::vector<std::string>>& shards,
   }
   // Collect every worker before judging any: leaking live children on a
   // first-failure throw would leave them racing the parent's fallback.
-  std::vector<int> statuses(pids.size(), 0);
-  for (std::size_t i = 0; i < pids.size(); ++i)
-    TIB_REQUIRE_MSG(::waitpid(pids[i], &statuses[i], 0) == pids[i],
+  std::vector<int> statuses;
+  statuses.reserve(pids.size());
+  for (const pid_t pid : pids) {
+    int status = 0;
+    TIB_REQUIRE_MSG(::waitpid(pid, &status, 0) == pid,
                     "waitpid lost a campaign worker");
+    statuses.push_back(status);
+  }
   for (const int status : statuses) {
     TIB_REQUIRE_MSG(WIFEXITED(status) && WEXITSTATUS(status) == 0,
                     "campaign worker failed with status " +

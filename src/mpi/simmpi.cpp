@@ -234,13 +234,13 @@ MpiWorld::MpiWorld(WorldConfig config, int ranks)
 MpiWorld::~MpiWorld() { releaseEngines(); }
 
 void MpiWorld::releaseEngines() {
-  // Destroying an engine unwinds the rank fibers still suspended in it, and
-  // their stacks reference the contexts (collective guards), mailboxes,
-  // pools and in-flight slabs — so engines go first, whatever the member
-  // order or which engine the previous run used.
+  // Destroying a Simulation unwinds the rank fibers still suspended in it,
+  // and their stacks reference the contexts (collective guards), mailboxes,
+  // pools and every engine's in-flight slab — so all Simulations go first,
+  // whatever the member order, and the slabs after them.
   scheduler_.reset();
+  for (Engine& e : engines_) e.sim.reset();
   engines_.clear();
-  sim_.reset();
 }
 
 void MpiWorld::chargeCpu(int node, double seconds) {
@@ -286,14 +286,9 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
                       bool allowRendezvous) {
   TIB_REQUIRE(dst >= 0 && dst < ranks_);
   TIB_REQUIRE(dst != ctx.rank());
-  Engine* eng = sharded_ ? &engineOf(ctx.rank()) : nullptr;
-  if (eng != nullptr) {
-    ++eng->messageCount;
-    eng->payloadBytes += static_cast<double>(bytes);
-  } else {
-    ++stats_.messageCount;
-    stats_.payloadBytes += static_cast<double>(bytes);
-  }
+  Engine& eng = engineOf(ctx.rank());
+  ++eng.messageCount;
+  eng.payloadBytes += static_cast<double>(bytes);
 
   // Small payloads ride inline in the Message; larger ones borrow a warm
   // buffer from the sender's shard pool (recycled by doRecv/wait), so a
@@ -302,7 +297,7 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
       payload, pools_[static_cast<std::size_t>(shardOfRank(ctx.rank()))]);
   const int srcNode = ctx.node();
   const int dstNode = nodeOfRank(dst);
-  sim::Simulation& sim = simFor(ctx.rank());
+  sim::Simulation& sim = *eng.sim;
 
   const double sendBegin = sim.now();
   if (srcNode == dstNode) {
@@ -336,32 +331,21 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
     ctx.process_.delay(costs.senderSeconds);
     traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst,
               bytes, comm);
-    const double wireBytes =
-        costs.wireSeconds * platform().nicLinkRateBytesPerS;
-    Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
-                costs.receiverSeconds, nullptr, nextLocalMessageId(eng)};
-    msg.comm = comm;
-    msg.verify = ctx.activeCollective_;
-    msg.path = ctx.path_;
-    msg.departTime = sim.now();
-    if (eng == nullptr) {
-      const double arrival =
-          fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
-      const std::uint32_t slot = stashFor(dst, std::move(msg));
-      sim.scheduleAt(arrival, [this, dst, slot] { deliver(dst, slot); });
-    } else {
-      // Fabric occupancy is global state: defer the wire arithmetic and the
-      // delivery push to the barrier, replayed in canonical order.
-      DeferredOp op;
-      op.kind = DeferredOp::Kind::Deliver;
-      op.fromNode = srcNode;
-      op.toNode = dstNode;
-      op.dstRank = dst;
-      op.wireBytes = wireBytes;
-      op.hasMessage = true;
-      op.message = std::move(msg);
-      submitWireOp(*eng, std::move(op));
-    }
+    // The message is built in place inside the op: one move, into the slab.
+    DeferredOp op{
+        .kind = DeferredOp::Kind::Deliver,
+        .fromNode = srcNode,
+        .toNode = dstNode,
+        .dstRank = dst,
+        .wireBytes = costs.wireSeconds * platform().nicLinkRateBytesPerS,
+        .message = Message{ctx.rank(), tag, bytes, std::move(copy),
+                           Stage::Delivered, costs.receiverSeconds, nullptr,
+                           nextLocalMessageId(eng)}};
+    op.message.comm = comm;
+    op.message.verify = ctx.activeCollective_;
+    op.message.path = ctx.path_;
+    op.message.departTime = sim.now();
+    submitWireOp(eng, std::move(op));
     return;
   }
 
@@ -372,27 +356,17 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   ctx.path_.sendSeconds += rts.senderSeconds;
   ctx.process_.delay(rts.senderSeconds);
   const std::uint64_t id = nextLocalMessageId(eng);
-  Message msg{ctx.rank(), tag,     bytes, std::move(copy),
-              Stage::RtsPending,   costs.receiverSeconds,
-              &ctx.process_,       id};
-  msg.comm = comm;
-  msg.verify = ctx.activeCollective_;
-  if (eng == nullptr) {
-    const double rtsArrival =
-        fabric_->scheduleWire(srcNode, dstNode, 84.0, sim.now());
-    const std::uint32_t slot = stashFor(dst, std::move(msg));
-    sim.scheduleAt(rtsArrival, [this, dst, slot] { deliver(dst, slot); });
-  } else {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::Deliver;
-    op.fromNode = srcNode;
-    op.toNode = dstNode;
-    op.dstRank = dst;
-    op.wireBytes = 84.0;  // RTS frame
-    op.hasMessage = true;
-    op.message = std::move(msg);
-    submitWireOp(*eng, std::move(op));
-  }
+  DeferredOp rtsOp{.kind = DeferredOp::Kind::Deliver,
+                   .fromNode = srcNode,
+                   .toNode = dstNode,
+                   .dstRank = dst,
+                   .wireBytes = 84.0,  // RTS frame
+                   .message = Message{ctx.rank(), tag, bytes, std::move(copy),
+                                      Stage::RtsPending, costs.receiverSeconds,
+                                      &ctx.process_, id}};
+  rtsOp.message.comm = comm;
+  rtsOp.message.verify = ctx.activeCollective_;
+  submitWireOp(eng, std::move(rtsOp));
   // Stall-watchdog bookkeeping: the rank is about to block outside any
   // mailbox wait, so record what it is blocked on here.
   ctx.sendBlocked_ = true;
@@ -409,29 +383,17 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
   chargeCpu(srcNode, costs.senderSeconds);
   ctx.path_.sendSeconds += costs.senderSeconds;
   ctx.process_.delay(costs.senderSeconds);
-  const double wireBytes = costs.wireSeconds * platform().nicLinkRateBytesPerS;
   traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst, bytes,
             comm);
-  const obs::PathSnapshot dataPath = ctx.path_;
-  const double dataDepart = sim.now();
-  if (eng == nullptr) {
-    const double dataArrival =
-        fabric_->scheduleWire(srcNode, dstNode, wireBytes, sim.now());
-    sim.scheduleAt(dataArrival, [this, dst, id, dataPath, dataDepart] {
-      dataArrived(dst, id, dataPath, dataDepart);
-    });
-  } else {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::DataArrival;
-    op.fromNode = srcNode;
-    op.toNode = dstNode;
-    op.dstRank = dst;
-    op.wireBytes = wireBytes;
-    op.id = id;
-    op.path = dataPath;
-    op.submitT = dataDepart;
-    submitWireOp(*eng, std::move(op));
-  }
+  submitWireOp(
+      eng, DeferredOp{.kind = DeferredOp::Kind::DataArrival,
+                      .fromNode = srcNode,
+                      .toNode = dstNode,
+                      .dstRank = dst,
+                      .wireBytes = costs.wireSeconds *
+                                   platform().nicLinkRateBytesPerS,
+                      .id = id,
+                      .path = ctx.path_});
 }
 
 void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
@@ -474,19 +436,7 @@ void MpiWorld::dataArrived(int dstRank, std::uint64_t id,
   }
 }
 
-std::uint32_t MpiWorld::stashInflight(Message&& message) {
-  if (freeSlots_.empty()) {
-    inflight_.push_back(std::move(message));
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
-  }
-  const std::uint32_t slot = freeSlots_.back();
-  freeSlots_.pop_back();
-  inflight_[slot] = std::move(message);
-  return slot;
-}
-
 std::uint32_t MpiWorld::stashFor(int dstRank, Message&& message) {
-  if (!sharded_) return stashInflight(std::move(message));
   // Messages live in the *destination* shard's slab: delivery, matching and
   // consumption all run there, so only one shard ever touches the slot.
   Engine& eng = engineOf(dstRank);
@@ -501,11 +451,6 @@ std::uint32_t MpiWorld::stashFor(int dstRank, Message&& message) {
 }
 
 std::vector<std::byte> MpiWorld::consumeSlot(int rank, std::uint32_t slot) {
-  if (!sharded_) {
-    std::vector<std::byte> out = inflight_[slot].payload.intoVector(pools_[0]);
-    freeSlots_.push_back(slot);
-    return out;
-  }
   Engine& eng = engineOf(rank);
   // The buffer parks in the *consuming* shard's pool: warm buffers migrate
   // toward the ranks that actually receive large payloads.
@@ -618,36 +563,19 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         ctx.path_.recvSeconds += cts.senderSeconds;
         ctx.process_.delay(cts.senderSeconds);
         // The CTS is what unblocks the rendezvous sender, so the sender's
-        // chain becomes this receiver's chain plus the CTS hop. The
-        // adoption is applied inside the sender's shard at wake-up.
-        const obs::PathSnapshot ctsPath = ctx.path_;
-        MpiContext* senderCtx =
-            contexts_[static_cast<std::size_t>(msgSrc)].get();
-        if (!sharded_) {
-          const double ctsDepart = sim.now();
-          const double ctsArrival = fabric_->scheduleWire(
-              ctx.node(), nodeOfRank(msgSrc), 84.0, ctsDepart);
-          const double ctsLink = std::max(0.0, ctsArrival - ctsDepart);
-          sim.scheduleAt(ctsArrival,
-                         [this, sender, senderCtx, ctsPath, ctsLink] {
-                           senderCtx->adoptPath(ctsPath, ctsLink);
-                           sim_->resume(*sender);
-                         });
-        } else {
-          // CTS wire + sender wake-up land in the sender's shard; both
-          // defer to the barrier like every other cross-shard effect.
-          Engine& eng = engineOf(ctx.rank());
-          DeferredOp op;
-          op.kind = DeferredOp::Kind::CtsResume;
-          op.fromNode = ctx.node();
-          op.toNode = nodeOfRank(msgSrc);
-          op.wireBytes = 84.0;
-          op.targetShard = shardOfRank(msgSrc);
-          op.sender = sender;
-          op.path = ctsPath;
-          op.senderCtx = senderCtx;
-          submitWireOp(eng, std::move(op));
-        }
+        // chain becomes this receiver's chain plus the CTS hop. The CTS
+        // wire and the adoption + wake-up land in the sender's shard.
+        submitWireOp(
+            engineOf(ctx.rank()),
+            DeferredOp{
+                .kind = DeferredOp::Kind::CtsResume,
+                .fromNode = ctx.node(),
+                .toNode = nodeOfRank(msgSrc),
+                .targetShard = shardOfRank(msgSrc),
+                .wireBytes = 84.0,
+                .sender = sender,
+                .path = ctx.path_,
+                .senderCtx = contexts_[static_cast<std::size_t>(msgSrc)].get()});
         break;  // fall through to waiting for the data-arrival wake-up
       }
       // AwaitingData: the exchange is in flight; keep waiting.
@@ -679,15 +607,7 @@ void MpiWorld::verifyCollectiveMatch(MpiContext& ctx, const Message& message) {
 WorldStats MpiWorld::run(const RankBody& body) {
   const int shards = effectiveSimShards();
   releaseEngines();
-  if (shards > 1) return runSharded(body, shards);
-  sharded_ = false;
-  sim_ = std::make_unique<sim::Simulation>(config_.simBackend,
-                                           config_.fiberStackBytes);
-  // Huge worlds lease fiber stacks from the slab arena so the VMA count
-  // stays far below vm.max_map_count (private guarded stacks cost 2 each).
-  sim_->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);
-  // Roughly eager-send + wake-up per rank in flight at any moment.
-  sim_->reserveEvents(static_cast<std::size_t>(ranks_) * 4);
+  sharded_ = shards > 1;
   net::TopologySpec topo = config_.topology;
   topo.nodes = nodes_;
   fabric_ = std::make_unique<net::Fabric>(topo, config_.linkTelemetry);
@@ -695,19 +615,19 @@ WorldStats MpiWorld::run(const RankBody& body) {
   mailboxes_.clear();
   mailboxes_.resize(static_cast<std::size_t>(ranks_));
   contexts_.clear();
-  inflight_.clear();
-  freeSlots_.clear();
-  preparePools(1);
+  preparePools(static_cast<std::size_t>(shards));
   stats_ = WorldStats{};
   stats_.nodes = nodes_;
   stats_.rankFinishSeconds.assign(static_cast<std::size_t>(ranks_), 0.0);
   stats_.nodeBusySeconds.assign(static_cast<std::size_t>(nodes_), 0.0);
   stats_.nodeCommCpuSeconds.assign(static_cast<std::size_t>(nodes_), 0.0);
+  buildEngines(shards);
+  if (sharded_) attachShardScheduler();
 
   std::vector<sim::Process*> processes;
   processes.reserve(static_cast<std::size_t>(ranks_));
   for (int r = 0; r < ranks_; ++r) {
-    auto& process = sim_->spawn(
+    auto& process = simFor(r).spawn(
         "rank" + std::to_string(r),
         [this, r, &body](sim::Process& p) {
           MpiContext& ctx = *contexts_[static_cast<std::size_t>(r)];
@@ -720,20 +640,34 @@ WorldStats MpiWorld::run(const RankBody& body) {
     processes.push_back(&process);
   }
 
-  sim_->run();
-  stats_.engine = sim_->engineStats();
+  // One shard dispatches its queue directly; several advance in windows
+  // with a merge at every barrier.
+  if (sharded_) {
+    stats_.engine = runShardWindows();
+  } else {
+    sim::Simulation& sim = *engines_.front().sim;
+    sim.run();
+    stats_.engine = sim.engineStats();
+  }
+  for (const Engine& e : engines_) {
+    stats_.messageCount += e.messageCount;
+    stats_.payloadBytes += e.payloadBytes;
+  }
   stats_.traceSpansRecorded = tracer_.spansRecorded();
   stats_.traceSpansRetained = tracer_.spansRetained();
   stats_.traceMemoryBytes = tracer_.memoryBytes();
   harvestPools();
+  // Per-rank verifier counters fold after the shard threads joined, so the
+  // sum is single-threaded and shard-invariant.
   for (const auto& ctx : contexts_)
     stats_.collectiveChecks += ctx->collectiveChecks_;
 
   for (sim::Process* p : processes) {
     if (p->exception() != nullptr) std::rethrow_exception(p->exception());
   }
-  TIB_REQUIRE_MSG(sim_->liveProcessCount() == 0,
-                  deadlockMessage(sim_->now()));
+  std::size_t live = 0;
+  for (const Engine& e : engines_) live += e.sim->liveProcessCount();
+  TIB_REQUIRE_MSG(live == 0, deadlockMessage(stats_.engine.simSeconds));
 
   stats_.wallClockSeconds = *std::max_element(
       stats_.rankFinishSeconds.begin(), stats_.rankFinishSeconds.end());

@@ -1,10 +1,12 @@
-// Sharded logical-process execution for MpiWorld (simShards > 1).
+// Engine partition and sharded logical-process execution for MpiWorld.
 //
 // The world is cut at leaf-switch boundaries into contiguous rank ranges,
-// one Simulation per shard, driven in conservative windows by
-// sim::ShardScheduler with the fabric's one-hop cut-through latency as the
-// lookahead bound. Everything here exists to keep the serialised campaign
-// artefacts byte-identical to the single-queue engine for ANY shard count:
+// one Simulation per shard. One shard is the single queue: its Simulation
+// dispatches directly and every DeferredOp runs as it is submitted. Several
+// shards are driven in conservative windows by sim::ShardScheduler with the
+// fabric's one-hop cut-through latency as the lookahead bound. Everything
+// below exists to keep the serialised campaign artefacts byte-identical to
+// the single queue for ANY shard count:
 //
 //  * each shard logs its dispatches under canonical (t, ord1, ord2) keys
 //    (sim/simulation.hpp); the window barrier k-way-merges the logs into
@@ -21,7 +23,7 @@
 //
 // Anything in-window therefore touches only shard-local state; anything
 // global happens at a barrier on one thread. That split is also what the
-// tibsim_lint shared-state rule enforces syntactically.
+// tibsim_lint shard-shared rule enforces syntactically.
 
 #include <algorithm>
 #include <chrono>
@@ -54,65 +56,122 @@ int MpiWorld::effectiveSimShards() const {
   return std::min(requested, leafCount);
 }
 
+void MpiWorld::buildEngines(int shards) {
+  // Leaf-switch-contiguous partition: shardOfLeaf = leaf * S / leafCount.
+  // Contiguous leaves (hence nodes, hence ranks) per shard means every
+  // same-node and same-leaf message stays shard-local. One shard holds
+  // every rank.
+  const int perLeaf = std::max(config_.topology.nodesPerLeafSwitch, 1);
+  const int leafCount = (nodes_ + perLeaf - 1) / perLeaf;
+  shardOfRank_.assign(static_cast<std::size_t>(ranks_), 0);
+  for (int r = 0; r < ranks_; ++r) {
+    const int leaf = nodeOfRank(r) / perLeaf;
+    shardOfRank_[static_cast<std::size_t>(r)] = (leaf * shards) / leafCount;
+  }
+  engines_.resize(static_cast<std::size_t>(shards));
+  for (Engine& e : engines_) e.firstRank = -1;
+  for (int r = 0; r < ranks_; ++r) {
+    Engine& e = engineOf(r);
+    if (e.firstRank < 0) e.firstRank = r;
+    e.endRank = r + 1;
+  }
+  for (Engine& e : engines_) {
+    TIB_ASSERT(e.firstRank >= 0);  // the leaf map is surjective for
+                                   // shards <= leafCount
+    e.sim = std::make_unique<sim::Simulation>(config_.simBackend,
+                                              config_.fiberStackBytes);
+    // Huge worlds lease fiber stacks from the slab arena so the VMA count
+    // stays far below vm.max_map_count (private guarded stacks cost 2
+    // each). The world-level (not per-shard) rank count decides, so the
+    // policy is identical under every --sim-shards value.
+    e.sim->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);
+    // Roughly eager-send + wake-up per rank in flight at any moment.
+    e.sim->reserveEvents(static_cast<std::size_t>(e.endRank - e.firstRank) *
+                         4);
+  }
+}
+
+void MpiWorld::attachShardScheduler() {
+  scheduler_ =
+      std::make_unique<sim::ShardScheduler>(fabric_->lookaheadSeconds());
+  for (Engine& e : engines_) {
+    // Process ids ARE global ranks: canonical keys across shards then merge
+    // in rank order, matching the single queue's spawn-order tie-break.
+    e.sim->enableShardMode(static_cast<std::uint64_t>(e.firstRank));
+    scheduler_->addShard(e.sim.get());
+  }
+}
+
 void MpiWorld::submitWireOp(Engine& eng, DeferredOp&& op) {
-  op.dispatchIndex = eng.sim->currentDispatchIndex();
   op.submitT = eng.sim->now();
+  if (!sharded_) {
+    // One queue: no other shard can observe the effect, so it runs now.
+    executeOp(op, kPushNow);
+    return;
+  }
+  // Fabric occupancy is global state: defer the wire arithmetic and the
+  // arrival push to the barrier, replayed in canonical order.
+  op.dispatchIndex = eng.sim->currentDispatchIndex();
   // Reserve the push's position within the submitting dispatch: the event
-  // pushed at the barrier sorts exactly where the single-queue engine's
-  // immediate push would have — (G of this dispatch, this index).
+  // pushed at the barrier sorts exactly where the single queue's immediate
+  // push would have — (G of this dispatch, this index).
   op.pushIdx = eng.sim->notePendingPush();
   ++eng.pendingChannelOps;
   eng.ops.push_back(std::move(op));
 }
 
 void MpiWorld::executeOp(DeferredOp& op, std::uint64_t g) {
+  if (op.kind == DeferredOp::Kind::StatFold) {
+    stats_.totalFlops += op.flops;
+    stats_.totalDramBytes += op.dramBytes;
+    return;
+  }
+  const double arrival = fabric_->scheduleWire(op.fromNode, op.toNode,
+                                               op.wireBytes, op.submitT);
+  // On the single queue the arrival is an ordinary push; at a barrier it
+  // lands under the submitting dispatch's merged key.
+  const auto push = [this, &op, g, arrival](int shard, auto fn) {
+    const auto s = static_cast<std::size_t>(shard);
+    if (g == kPushNow) {
+      engines_[s].sim->scheduleAt(arrival, std::move(fn));
+    } else {
+      scheduler_->channelPush(s, arrival, g, op.pushIdx, std::move(fn));
+    }
+  };
   switch (op.kind) {
     case DeferredOp::Kind::Deliver: {
-      const double arrival = fabric_->scheduleWire(op.fromNode, op.toNode,
-                                                   op.wireBytes, op.submitT);
       const int dst = op.dstRank;
-      TIB_ASSERT(op.hasMessage);
       const std::uint32_t slot = stashFor(dst, std::move(op.message));
-      scheduler_->channelPush(
-          static_cast<std::size_t>(shardOfRank(dst)), arrival, g, op.pushIdx,
-          [this, dst, slot] { deliver(dst, slot); });
+      push(shardOfRank(dst), [this, dst, slot] { deliver(dst, slot); });
       break;
     }
     case DeferredOp::Kind::DataArrival: {
-      const double arrival = fabric_->scheduleWire(op.fromNode, op.toNode,
-                                                   op.wireBytes, op.submitT);
       const int dst = op.dstRank;
       const std::uint64_t id = op.id;
       const obs::PathSnapshot path = op.path;
       const double depart = op.submitT;
-      scheduler_->channelPush(
-          static_cast<std::size_t>(shardOfRank(dst)), arrival, g, op.pushIdx,
-          [this, dst, id, path, depart] { dataArrived(dst, id, path, depart); });
+      push(shardOfRank(dst), [this, dst, id, path, depart] {
+        dataArrived(dst, id, path, depart);
+      });
       break;
     }
     case DeferredOp::Kind::CtsResume: {
-      const double arrival = fabric_->scheduleWire(op.fromNode, op.toNode,
-                                                   op.wireBytes, op.submitT);
       sim::Simulation* sim =
           engines_[static_cast<std::size_t>(op.targetShard)].sim.get();
       sim::Process* sender = op.sender;
       // The sender adopts the receiver's chain (plus the CTS hop) inside
-      // its own shard's window, exactly when the single queue would.
+      // its own shard, exactly when the single queue would.
       MpiContext* senderCtx = op.senderCtx;
       const obs::PathSnapshot path = op.path;
       const double link = std::max(0.0, arrival - op.submitT);
-      scheduler_->channelPush(static_cast<std::size_t>(op.targetShard),
-                              arrival, g, op.pushIdx,
-                              [sim, sender, senderCtx, path, link] {
-                                senderCtx->adoptPath(path, link);
-                                sim->resume(*sender);
-                              });
+      push(op.targetShard, [sim, sender, senderCtx, path, link] {
+        senderCtx->adoptPath(path, link);
+        sim->resume(*sender);
+      });
       break;
     }
     case DeferredOp::Kind::StatFold:
-      stats_.totalFlops += op.flops;
-      stats_.totalDramBytes += op.dramBytes;
-      break;
+      break;  // folded above
   }
 }
 
@@ -170,7 +229,7 @@ void MpiWorld::shardBarrier() {
 
     // Virtual single-queue size replay: the dispatch popped one event and
     // pushed `pushes` (in-window pushes plus deferred channel pushes, which
-    // the legacy engine would have pushed during this same dispatch). The
+    // the single queue would have pushed during this same dispatch). The
     // high-water candidate peaks after the last push.
     if (bestRec->pushes > 0) {
       mergedQueueHighWater_ = std::max(
@@ -205,82 +264,12 @@ void MpiWorld::shardBarrier() {
   }
 }
 
-WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
-  sharded_ = true;
-  net::TopologySpec topo = config_.topology;
-  topo.nodes = nodes_;
-  fabric_ = std::make_unique<net::Fabric>(topo, config_.linkTelemetry);
-  scheduler_ =
-      std::make_unique<sim::ShardScheduler>(fabric_->lookaheadSeconds());
-
-  mailboxes_.clear();
-  mailboxes_.resize(static_cast<std::size_t>(ranks_));
-  contexts_.clear();
-  inflight_.clear();
-  freeSlots_.clear();
-  preparePools(static_cast<std::size_t>(shards));
-
-  stats_ = WorldStats{};
-  stats_.nodes = nodes_;
-  stats_.rankFinishSeconds.assign(static_cast<std::size_t>(ranks_), 0.0);
-  stats_.nodeBusySeconds.assign(static_cast<std::size_t>(nodes_), 0.0);
-  stats_.nodeCommCpuSeconds.assign(static_cast<std::size_t>(nodes_), 0.0);
-
-  // Leaf-switch-contiguous partition: shardOfLeaf = leaf * S / leafCount.
-  // Contiguous leaves (hence nodes, hence ranks) per shard means every
-  // same-node and same-leaf message stays shard-local.
-  const int perLeaf = std::max(config_.topology.nodesPerLeafSwitch, 1);
-  const int leafCount = (nodes_ + perLeaf - 1) / perLeaf;
-  shardOfRank_.assign(static_cast<std::size_t>(ranks_), 0);
-  for (int r = 0; r < ranks_; ++r) {
-    const int leaf = nodeOfRank(r) / perLeaf;
-    shardOfRank_[static_cast<std::size_t>(r)] = (leaf * shards) / leafCount;
-  }
-  engines_.resize(static_cast<std::size_t>(shards));
-  for (Engine& e : engines_) e.firstRank = -1;
-  for (int r = 0; r < ranks_; ++r) {
-    Engine& e = engines_[static_cast<std::size_t>(shardOfRank_[
-        static_cast<std::size_t>(r)])];
-    if (e.firstRank < 0) e.firstRank = r;
-    e.endRank = r + 1;
-  }
-  for (Engine& e : engines_) {
-    TIB_ASSERT(e.firstRank >= 0);  // the leaf map is surjective for
-                                   // shards <= leafCount
-    e.sim = std::make_unique<sim::Simulation>(config_.simBackend,
-                                              config_.fiberStackBytes);
-    // World-level (not per-shard) rank count decides stack pooling so the
-    // policy is identical under every --sim-shards value.
-    e.sim->setPooledStacks(ranks_ >= sim::kPooledStacksMinRanks);
-    // Process ids ARE global ranks: canonical keys across shards then merge
-    // in rank order, matching the single queue's spawn-order tie-break.
-    e.sim->enableShardMode(static_cast<std::uint64_t>(e.firstRank));
-    e.sim->reserveEvents(static_cast<std::size_t>(e.endRank - e.firstRank) *
-                         4);
-    scheduler_->addShard(e.sim.get());
-  }
-
-  std::vector<sim::Process*> processes;
-  processes.reserve(static_cast<std::size_t>(ranks_));
-  for (int r = 0; r < ranks_; ++r) {
-    auto& process = engines_[static_cast<std::size_t>(shardOfRank_[
-        static_cast<std::size_t>(r)])].sim->spawn(
-        "rank" + std::to_string(r),
-        [this, r, &body](sim::Process& p) {
-          MpiContext& ctx = *contexts_[static_cast<std::size_t>(r)];
-          (void)p;
-          body(ctx);
-          stats_.rankFinishSeconds[static_cast<std::size_t>(r)] = ctx.now();
-        });
-    contexts_.push_back(std::unique_ptr<MpiContext>(
-        new MpiContext(*this, process, r, nodeOfRank(r))));
-    processes.push_back(&process);
-  }
-
+sim::EngineStats MpiWorld::runShardWindows() {
   // Seed the virtual global-queue replay with the spawn start events (the
-  // legacy engine pushes one per rank before the first dispatch).
+  // single queue pushes one per rank before the first dispatch).
   mergedQueueSize_ = static_cast<std::uint64_t>(ranks_);
   mergedQueueHighWater_ = static_cast<std::uint64_t>(ranks_);
+  nextGlobalOrd_ = 1;
 
   // Barrier counters feed EngineStats (the run summary's shard-gang table);
   // two clock reads per window barrier are noise next to the merge itself.
@@ -326,7 +315,7 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
   merged.simSeconds = finalTime;
   merged.hostSeconds = hostSeconds;
   merged.queueHighWater = static_cast<std::size_t>(mergedQueueHighWater_);
-  merged.shardCount = static_cast<std::size_t>(shards);
+  merged.shardCount = engines_.size();
   merged.shardWindows = scheduler_->windowsRun();
   merged.shardParallelWindows = scheduler_->parallelWindowsRun();
   merged.shardFanoutWindows = scheduler_->fanoutWindowsRun();
@@ -347,33 +336,8 @@ WorldStats MpiWorld::runSharded(const RankBody& body, int shards) {
         std::max(merged.fiberStackBytes, es.fiberStackBytes);
     merged.stackHighWaterBytes =
         std::max(merged.stackHighWaterBytes, es.stackHighWaterBytes);
-    stats_.messageCount += e.messageCount;
-    stats_.payloadBytes += e.payloadBytes;
   }
-  stats_.engine = merged;
-  stats_.traceSpansRecorded = tracer_.spansRecorded();
-  stats_.traceSpansRetained = tracer_.spansRetained();
-  stats_.traceMemoryBytes = tracer_.memoryBytes();
-
-  harvestPools();
-  // Per-rank verifier counters fold after the shard threads joined, so the
-  // sum is single-threaded and shard-invariant.
-  for (const auto& ctx : contexts_)
-    stats_.collectiveChecks += ctx->collectiveChecks_;
-
-  for (sim::Process* p : processes) {
-    if (p->exception() != nullptr) std::rethrow_exception(p->exception());
-  }
-  std::size_t live = 0;
-  for (Engine& e : engines_) live += e.sim->liveProcessCount();
-  TIB_REQUIRE_MSG(live == 0, deadlockMessage(finalTime));
-
-  stats_.wallClockSeconds = *std::max_element(
-      stats_.rankFinishSeconds.begin(), stats_.rankFinishSeconds.end());
-  stats_.wireBytes = fabric_->totalWireBytes();
-  stats_.fabricQueueingSeconds = fabric_->totalQueueingSeconds();
-  harvestPathAndLinks();
-  return stats_;
+  return merged;
 }
 
 }  // namespace tibsim::mpi

@@ -98,10 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelCorrectness,
     ::testing::Combine(::testing::ValuesIn(suiteTags()),
                        ::testing::Bool(), ::testing::Values(0, 1)),
-    [](const ::testing::TestParamInfo<KernelCorrectness::ParamType>& info) {
-      return std::get<0>(info.param) +
-             (std::get<1>(info.param) ? "_par" : "_ser") +
-             (std::get<2>(info.param) == 0 ? "_small" : "_medium");
+    [](const auto& paramInfo) {
+      return std::get<0>(paramInfo.param) +
+             (std::get<1>(paramInfo.param) ? "_par" : "_ser") +
+             (std::get<2>(paramInfo.param) == 0 ? "_small" : "_medium");
     });
 
 TEST(KernelRepeatability, SerialAndParallelAgree) {
@@ -149,9 +149,9 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, KernelSeedSweep,
     ::testing::Combine(::testing::ValuesIn(suiteTags()),
                        ::testing::Values(1, 2, 3)),
-    [](const ::testing::TestParamInfo<KernelSeedSweep::ParamType>& info) {
-      return std::get<0>(info.param) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& paramInfo) {
+      return std::get<0>(paramInfo.param) + "_seed" +
+             std::to_string(std::get<1>(paramInfo.param));
     });
 
 TEST(Fft, RejectsNonPowerOfTwo) {

@@ -1120,6 +1120,111 @@ TEST_P(SimMpiTest, GangFansOutWideWindowsOnlyAndKeepsTheSchedule) {
   }
 }
 
+// Eager, rendezvous and wildcard traffic plus compute, for the engine-
+// layout tests below: a pooled eager payload around the ring, a 64 KiB
+// rendezvous exchange between rank pairs, and one wildcard receive at rank
+// 0 per other rank. Needs an even rank count.
+void mixedTraffic(MpiContext& ctx) {
+  const int n = ctx.size();
+  const int rank = ctx.rank();
+  ctx.compute(perfmodel::WorkProfile{1e6 * (rank + 1), 0.0,
+                                     perfmodel::AccessPattern::Resident, 1.0,
+                                     1.0, 0.0});
+  const std::vector<std::byte> payload(300, std::byte{0x42});
+  ctx.send((rank + 1) % n, 1, payload.size(), payload);
+  EXPECT_EQ(ctx.recv((rank + n - 1) % n, 1), payload);
+  ctx.sendrecv(rank ^ 1, 2, 64 * 1024);
+  if (rank == 0) {
+    for (int i = 1; i < n; ++i) {
+      const std::vector<double> v =  // tibsim-lint: allow(wildcard-recv)
+          ctx.recvDoubles(kAnySource, 3);
+      EXPECT_EQ(v.size(), 1u);
+    }
+  } else {
+    ctx.computeSeconds(1e-6 * (rank % 3));
+    ctx.sendDoubles(0, 3, std::vector<double>{1.0 * rank});
+  }
+}
+
+// The model-level results of a run: everything serialised except the
+// engine's own counters.
+struct ModelResults {
+  double wall;
+  std::vector<double> rankFinish;
+  std::uint64_t messages;
+  double payloadBytes, wireBytes, flops;
+  bool operator==(const ModelResults&) const = default;
+};
+
+ModelResults modelResults(const WorldStats& stats) {
+  return {stats.wallClockSeconds, stats.rankFinishSeconds, stats.messageCount,
+          stats.payloadBytes,     stats.wireBytes,         stats.totalFlops};
+}
+
+TEST_P(SimMpiTest, ShardCountFallsBackWhereAWorldCannotShard) {
+  // Asking for 8 shards gets as many as the world can cut at leaf
+  // switches with a positive lookahead, and the same results as 1 shard.
+  const auto runWith = [](int ranks, int perLeaf, double switchLatency,
+                          int shards) {
+    WorldConfig cfg = testConfig(1, net::Protocol::OpenMx);
+    cfg.topology.nodesPerLeafSwitch = perLeaf;
+    cfg.topology.switchLatency = switchLatency;
+    cfg.simShards = shards;
+    MpiWorld world(cfg, ranks);
+    return world.run(mixedTraffic);
+  };
+  struct Case {
+    const char* name;
+    int ranks, perLeaf;
+    double switchLatency;
+    std::size_t expectedShards;
+  };
+  for (const Case& c : {Case{"one leaf", 8, 32, 2.0e-6, 1},
+                        Case{"no lookahead", 16, 2, 0.0, 1},
+                        Case{"three leaves", 6, 2, 2.0e-6, 3}}) {
+    const WorldStats base = runWith(c.ranks, c.perLeaf, c.switchLatency, 1);
+    const WorldStats wide = runWith(c.ranks, c.perLeaf, c.switchLatency, 8);
+    EXPECT_EQ(base.engine.shardCount, 1u) << c.name;
+    EXPECT_EQ(wide.engine.shardCount, c.expectedShards) << c.name;
+    EXPECT_TRUE(modelResults(wide) == modelResults(base)) << c.name;
+    EXPECT_EQ(wide.engine.eventsDispatched, base.engine.eventsDispatched)
+        << c.name;
+    EXPECT_EQ(wide.engine.queueHighWater, base.engine.queueHighWater)
+        << c.name;
+  }
+}
+
+TEST_P(SimMpiTest, RepeatedRunOnOneWorldRepeatsItsResults) {
+  // run() rebuilds every engine, so a second run on the same world must
+  // not see the first one's slabs, free slots, message ids or counters.
+  struct PoolTraffic {
+    std::uint64_t inlineMessages, pooledMessages, returns;
+    std::vector<std::pair<std::size_t, std::uint64_t>> classAcquires;
+    bool operator==(const PoolTraffic&) const = default;
+  };
+  const auto poolTraffic = [](const WorldStats& stats) {
+    PoolTraffic out{stats.payloadInlineMessages, stats.payloadPooledMessages,
+                    stats.payloadPoolReturns, {}};
+    for (const PayloadPool::ClassStats& cls : stats.payloadPoolClassStats)
+      out.classAcquires.emplace_back(cls.classBytes, cls.acquires);
+    return out;
+  };
+  for (const int shards : {1, 2}) {
+    WorldConfig cfg = testConfig(1, net::Protocol::OpenMx);
+    cfg.topology.nodesPerLeafSwitch = 2;
+    cfg.simShards = shards;
+    MpiWorld world(cfg, 8);
+    const WorldStats first = world.run(mixedTraffic);
+    const WorldStats second = world.run(mixedTraffic);
+    EXPECT_EQ(first.engine.shardCount, static_cast<std::size_t>(shards));
+    EXPECT_GT(first.payloadPooledMessages, 0u);
+    EXPECT_TRUE(modelResults(second) == modelResults(first))
+        << shards << " shards";
+    EXPECT_TRUE(poolTraffic(second) == poolTraffic(first))
+        << shards << " shards";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Communicators: wildcard matching, split/dup, reductions, non-blocking
 // collectives, and the task-farm proxy built on them.

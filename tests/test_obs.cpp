@@ -633,8 +633,9 @@ TEST(StackTelemetry, SubSixtyFourKiBStackChosenFromReportedHighWater) {
   const cluster::JobResult rerun = sim.runJob(16, body, options);
   EXPECT_DOUBLE_EQ(rerun.wallClockSeconds, probe.wallClockSeconds);
   EXPECT_LE(rerun.stats.engine.stackHighWaterBytes, stackBytes);
-  if (rerun.stats.engine.fiberStackBytes > 0)
+  if (rerun.stats.engine.fiberStackBytes > 0) {
     EXPECT_EQ(rerun.stats.engine.fiberStackBytes, stackBytes);
+  }
 }
 
 }  // namespace

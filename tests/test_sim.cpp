@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -20,6 +21,14 @@
 
 namespace tibsim::sim {
 namespace {
+
+// Process name "p<i>", built by appending: GCC 12 at -O3 reports a false
+// -Wrestrict on the prepending `"p" + std::to_string(i)`.
+std::string procName(int i) {
+  std::string name = "p";
+  name += std::to_string(i);
+  return name;
+}
 
 class SimulationTest : public ::testing::TestWithParam<ExecBackend> {
  protected:
@@ -273,7 +282,7 @@ TEST_P(SimulationTest, DeterministicAcrossRuns) {
     Simulation sim;
     std::vector<double> times;
     for (int i = 0; i < 5; ++i) {
-      sim.spawn("p" + std::to_string(i), [&times, i](Process& p) {
+      sim.spawn(procName(i), [&times, i](Process& p) {
         p.delay(0.1 * (i + 1));
         times.push_back(p.now());
         p.delay(0.05);
@@ -303,7 +312,7 @@ TEST_P(SimulationTest, ManyProcessesComplete) {
 TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
   Simulation sim;
   for (int i = 0; i < 3; ++i) {
-    sim.spawn("p" + std::to_string(i), [](Process& p) {
+    sim.spawn(procName(i), [](Process& p) {
       p.delay(1.0);
       p.delay(1.0);
     });
@@ -329,7 +338,7 @@ TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
     Simulation sim;
     std::vector<double> times;
     for (int i = 0; i < 8; ++i) {
-      sim.spawn("p" + std::to_string(i), [&times, i](Process& p) {
+      sim.spawn(procName(i), [&times, i](Process& p) {
         p.delay(0.01 * (i + 1));
         times.push_back(p.now());
         p.delay(0.02);
@@ -383,7 +392,7 @@ TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
   // same workload on stacks sized from the telemetry.
   const auto workload = [](Simulation& sim) {
     for (int i = 0; i < 8; ++i) {
-      sim.spawn("p" + std::to_string(i), [](Process& p) {
+      sim.spawn(procName(i), [](Process& p) {
         volatile char frame[2048];
         frame[0] = 1;
         frame[sizeof(frame) - 1] = 1;

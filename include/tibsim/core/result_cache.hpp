@@ -9,7 +9,7 @@
 // running executable's bytes. On a hit the cell's JSON document, engine
 // counters and world accounting replay from disk byte-identically; on a
 // miss the freshly computed cell is stored atomically (write-temp +
-// rename) so concurrent worker processes never expose torn entries. A
+// rename) so two campaigns sharing a directory never expose torn entries. A
 // corrupt or truncated entry is indistinguishable from a miss: load()
 // validates the whole document and returns nothing rather than trusting
 // partial bytes.

@@ -128,9 +128,10 @@ class Simulation {
   bool pooledStacks() const { return pooledStacks_; }
 
   /// Schedule a callback at absolute time t (>= now()). The callback type
-  /// is move-only with 48 bytes of inline storage (UniqueFunction), so the
-  /// hot-path closures — message delivery, process wake-ups — never touch
-  /// the heap.
+  /// is move-only (UniqueFunction): closures of up to kInlineBytes (32) —
+  /// message delivery, process wake-ups — are stored inline, and larger
+  /// ones take one heap allocation, as do the MPI data-arrival and
+  /// CTS-resume closures that carry a critical-path snapshot.
   void scheduleAt(double t, UniqueFunction fn);
 
   /// Schedule a callback dt seconds from now (dt >= 0).

@@ -524,13 +524,15 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
   EXPECT_EQ(cliExit({"run", "--sim-shards", "many"}), 2);
   EXPECT_EQ(cliExit({"run", "--sim-shards", "-3"}), 2);
   EXPECT_EQ(cliExit({"run", "--sim-shards", "0"}), 2);
-  EXPECT_EQ(cliExit({"run", "--procs", "banana"}), 2);
-  EXPECT_EQ(cliExit({"run", "--procs", "0"}), 2);
   EXPECT_EQ(cliExit({"run", "--jobs=banana"}), 2);  // --flag=value spelling
 }
 
-TEST(Cli, RejectsProcsWithoutCache) {
+TEST(Cli, RejectsUnknownFlags) {
+  // The removed subprocess-scheduler flags are usage errors like any other
+  // unknown flag, never silently ignored.
   EXPECT_EQ(cliExit({"run", "tab01", "--procs", "2"}), 2);
+  EXPECT_EQ(cliExit({"run", "tab01", "--worker-cells", "tab01"}), 2);
+  EXPECT_EQ(cliExit({"run", "tab01", "--bogus"}), 2);
 }
 
 TEST(Cli, AcceptsValidNumericFlags) {

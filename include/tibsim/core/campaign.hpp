@@ -29,9 +29,6 @@ struct CampaignOptions {
   std::string traceExportDir;
   bool compat = false;  ///< render each experiment's full text report
   bool summary = true;  ///< print the campaign run summary
-  /// Execution backend for simulation processes: "" keeps the process-wide
-  /// default (fiber, or TIBSIM_SIM_BACKEND), else "fiber"/"thread".
-  std::string simBackend;
   /// Trace recording mode for traced worlds: "" keeps the process-wide
   /// default (full, or TIBSIM_TRACE_MODE), else "full"/"sampled"/
   /// "aggregate".
@@ -106,7 +103,6 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
 ///   socbench list [glob...]
 ///   socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N] [--seed S]
 ///                [--cache DIR]
-///                [--sim-backend fiber|thread]
 ///                [--sim-shards N]
 ///                [--trace-mode full|sampled|aggregate]
 ///                [--trace-export DIR] [--stall-report]

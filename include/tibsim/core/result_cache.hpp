@@ -54,14 +54,13 @@ class CacheHasher {
 };
 
 /// Every ingredient of one cell's cache key. The caller resolves the
-/// effective settings (after --sim-backend/--trace-mode/--sim-shards
-/// overrides and environment defaults) so "--trace-mode full" and an
-/// unset flag that defaults to full produce the same key.
+/// effective settings (after --trace-mode/--sim-shards overrides and
+/// environment defaults) so "--trace-mode full" and an unset flag that
+/// defaults to full produce the same key.
 struct CacheKeyInputs {
   std::string experiment;   ///< registry name
   std::string versionTag;   ///< Experiment::versionTag()
   std::uint64_t seed = 0;   ///< campaign seed (pre experiment mixing)
-  std::string simBackend;   ///< resolved backend name ("fiber"/"thread")
   std::string traceMode;    ///< resolved trace mode name
   int simShards = 1;        ///< resolved shard count
   bool stallReport = false; ///< resolved watchdog arming

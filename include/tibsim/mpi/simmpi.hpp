@@ -55,10 +55,6 @@ struct WorldConfig {
   net::Protocol protocol = net::Protocol::TcpIp;
   int ranksPerNode = 1;
   net::TopologySpec topology;  ///< .nodes is derived from the rank count
-  /// Execution backend for the rank processes (fiber by default; see
-  /// sim/execution_context.hpp). Snapshot of the process-wide default at
-  /// config construction so a campaign-level override flows through.
-  sim::ExecBackend simBackend = sim::defaultExecBackend();
   /// How a traced run records spans (obs layer sink: full / sampled /
   /// aggregate). Snapshot of the process-wide default so --trace-mode and
   /// TIBSIM_TRACE_MODE flow through. Tracing itself stays opt-in via
@@ -67,7 +63,7 @@ struct WorldConfig {
   std::size_t traceReservoirPerRank = 512;  ///< sampled mode: spans kept/rank
   std::uint64_t traceSeed = 0;              ///< sampled mode reservoir seed
   /// Per-rank fiber stack size; 0 = engine default (TIBSIM_FIBER_STACK_KB
-  /// or 256 KiB). The thread backend ignores it.
+  /// or 256 KiB).
   std::size_t fiberStackBytes = 0;
   /// Logical-process shards for the event engine (see sim/shard_scheduler).
   /// Snapshot of the process-wide default (--sim-shards / TIBSIM_SIM_SHARDS)

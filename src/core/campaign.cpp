@@ -15,7 +15,6 @@
 #include "tibsim/mpi/collective_verify.hpp"
 #include "tibsim/obs/stall_report.hpp"
 #include "tibsim/obs/trace_sink.hpp"
-#include "tibsim/sim/execution_context.hpp"
 #include "tibsim/sim/shard_scheduler.hpp"
 
 namespace tibsim::core {
@@ -80,7 +79,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
   doc["seed"] = static_cast<double>(seed);
   if (engine != nullptr) {
     // Deterministic counters only: hostSeconds is a wall-clock measurement
-    // and would break byte-identical output across runs/backends/--jobs.
+    // and would break byte-identical output across runs/shards/--jobs.
     json::Value stats = json::Value::object();
     stats["eventsDispatched"] = static_cast<double>(engine->eventsDispatched);
     stats["contextSwitches"] = static_cast<double>(engine->contextSwitches);
@@ -94,7 +93,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
   if (counters != nullptr) {
     // World traffic + trace accounting. Everything here is a function of
     // the simulated runs (counts, modelled bytes, sink bookkeeping), so it
-    // stays byte-identical across runs/backends/--jobs.
+    // stays byte-identical across runs/shards/--jobs.
     json::Value worlds = json::Value::object();
     worlds["worlds"] = static_cast<double>(counters->worlds);
     worlds["messages"] = static_cast<double>(counters->messages);
@@ -121,7 +120,7 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
     // Link-utilization telemetry (net/fabric.hpp): per-kind busy time,
     // bytes, transfer counts and queueing-delay histograms. Recorded at
     // canonical fabric occupancy points only, so the object is
-    // byte-identical across runs, backends, --jobs and --sim-shards.
+    // byte-identical across runs, --jobs and --sim-shards.
     if (counters->links.any()) {
       json::Value links = json::Value::object();
       links["uplink"] = linkKindJson(counters->links.uplink);
@@ -163,14 +162,9 @@ CampaignResult runCampaign(const CampaignOptions& options,
     jobs = static_cast<int>(
         std::max<unsigned>(1, std::thread::hardware_concurrency()));
 
-  // Backend override for the whole campaign (restored on return). The
-  // WorldConfig of every simulation built below snapshots this default.
-  std::optional<sim::ScopedExecBackend> backendOverride;
-  if (!options.simBackend.empty())
-    backendOverride.emplace(sim::parseExecBackend(options.simBackend));
-
-  // Trace-mode override, same snapshot pattern: every WorldConfig built
-  // below captures the default trace mode at construction.
+  // Trace-mode override for the whole campaign (restored on return): every
+  // WorldConfig built below captures the default trace mode at
+  // construction.
   std::optional<obs::ScopedTraceMode> traceOverride;
   if (!options.traceMode.empty())
     traceOverride.emplace(obs::parseTraceMode(options.traceMode));
@@ -208,7 +202,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     cache.emplace(options.cacheDir);
     CacheKeyInputs base;
     base.seed = options.seed;
-    base.simBackend = sim::toString(sim::defaultExecBackend());
     base.traceMode = obs::toString(obs::defaultTraceMode());
     base.simShards = sim::defaultSimShards();
     base.stallReport = obs::defaultStallReport();
@@ -227,7 +220,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
     out << "=== socbench: " << selected.size() << " experiment"
         << (selected.size() == 1 ? "" : "s") << ", jobs=" << jobs
         << ", seed=" << options.seed
-        << ", sim-backend=" << sim::toString(sim::defaultExecBackend())
         << ", sim-shards=" << sim::defaultSimShards()
         << ", trace-mode=" << obs::toString(obs::defaultTraceMode())
         << " ===\n"
@@ -352,7 +344,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
         // Link telemetry: per-kind scalar table, then (after a blank line,
         // the __worlds.csv convention) the nonzero queueing-delay buckets.
         // Doubles go through json::formatNumber so the artefact is
-        // byte-identical across runs, backends, --jobs and --sim-shards.
+        // byte-identical across runs, --jobs and --sim-shards.
         std::string csv =
             "kind,busySeconds,bytes,transfers,queueSeconds,"
             "maxLinkBusySeconds\n";
@@ -446,9 +438,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
                           fmt(run.engine.hostSecondsPerSimSecond(), 4)});
     }
     if (anyEngine) {
-      out << "-- engine (sim-backend="
-          << sim::toString(sim::defaultExecBackend()) << ") --\n"
-          << engineTable.render() << '\n';
+      out << "-- engine --\n" << engineTable.render() << '\n';
     }
     // Shard-gang block: only when a sharded engine actually ran. Window
     // counts and barrier host time are run-summary-only (never serialised).
@@ -577,7 +567,6 @@ void printUsage(std::ostream& out) {
          "  socbench list [glob...]\n"
          "  socbench run [glob...] [--json DIR] [--csv DIR] [--jobs N]\n"
          "               [--seed S] [--cache DIR]\n"
-         "               [--sim-backend fiber|thread]\n"
          "               [--sim-shards N]\n"
          "               [--trace-mode full|sampled|aggregate]\n"
          "               [--trace-export DIR] [--stall-report]\n"
@@ -588,14 +577,10 @@ void printUsage(std::ostream& out) {
          "Flags accept both '--flag value' and '--flag=value'.\n"
          "--cache DIR keys every experiment cell by a content hash "
          "(experiment + version tag, platform spec bytes, seed, resolved\n"
-         "backend/trace/shard options, binary fingerprint): hits replay "
+         "trace/shard options, binary fingerprint): hits replay "
          "their JSON/CSV byte-identically from DIR, misses are computed\n"
          "and stored atomically. Any ingredient change — a rebuilt binary, "
          "an edited Table-1 number — is an automatic miss.\n"
-         "--sim-backend picks the cooperative-process implementation "
-         "(user-space fibers by default; 'thread' is the portable\n"
-         "one-OS-thread-per-rank fallback). TIBSIM_SIM_BACKEND sets the "
-         "same default from the environment.\n"
          "--sim-shards partitions every simulated world's switch tree into "
          "N per-subtree event engines under conservative (lookahead)\n"
          "synchronisation. Artefacts are byte-identical for any N; shards "
@@ -687,10 +672,6 @@ int socbenchMain(int argc, const char* const* argv) {
                   << *v << "\"\n";
         return 2;
       }
-    } else if (arg == "--sim-backend") {
-      const std::string* v = flagValue("--sim-backend");
-      if (v == nullptr) return 2;
-      options.simBackend = *v;
     } else if (arg == "--sim-shards") {
       const std::string* v = flagValue("--sim-shards");
       if (v == nullptr) return 2;

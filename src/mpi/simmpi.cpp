@@ -498,8 +498,8 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
       const std::uint32_t slot = *it;
       Message& m = messageAt(ctx.rank(), slot);
       // Wildcards resolve here: the first match in mailbox order is the
-      // canonical choice (delivery order is already shard- and
-      // backend-invariant), so kAnySource/kAnyTag stay deterministic.
+      // canonical choice (delivery order is already shard-invariant), so
+      // kAnySource/kAnyTag stay deterministic.
       if (!matches(m, comm, src, tag)) continue;
       const int msgSrc = m.src;
       const int msgTag = m.tag;
@@ -509,7 +509,7 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         // Collective verifier: the consumed message's stamp must agree
         // with whatever collective this rank is executing. The comparison
         // rides the canonical match order, so any report is byte-identical
-        // across shard counts and backends.
+        // across shard counts.
         verifyCollectiveMatch(ctx, m);
         if (m.receiverCharged) {
           // Delivery already charged receiverCost and folded it into the

@@ -78,8 +78,7 @@ void MpiWorld::buildEngines(int shards) {
   for (Engine& e : engines_) {
     TIB_ASSERT(e.firstRank >= 0);  // the leaf map is surjective for
                                    // shards <= leafCount
-    e.sim = std::make_unique<sim::Simulation>(config_.simBackend,
-                                              config_.fiberStackBytes);
+    e.sim = std::make_unique<sim::Simulation>(config_.fiberStackBytes);
     // Huge worlds lease fiber stacks from the slab arena so the VMA count
     // stays far below vm.max_map_count (private guarded stacks cost 2
     // each). The world-level (not per-shard) rank count decides, so the

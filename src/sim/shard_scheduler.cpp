@@ -19,9 +19,9 @@ int clampShards(int shards) {
 }
 
 int readDefaultSimShards() {
-  // Same pattern as TIBSIM_SIM_BACKEND / TIBSIM_TRACE_MODE: the environment
-  // seeds the process-wide default once; --sim-shards and ScopedSimShards
-  // override it explicitly afterwards.
+  // Same pattern as TIBSIM_TRACE_MODE: the environment seeds the
+  // process-wide default once; --sim-shards and ScopedSimShards override it
+  // explicitly afterwards.
   const char* env = std::getenv("TIBSIM_SIM_SHARDS");
   if (env == nullptr || *env == '\0') return 1;
   char* end = nullptr;

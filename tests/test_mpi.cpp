@@ -1,13 +1,12 @@
 // Tests for simMPI: point-to-point semantics, payload integrity, tag
 // matching, rendezvous, collectives, deadlock detection, accounting.
-// Every suite runs under both ExecutionContext backends — simMPI semantics
-// are backend-independent by contract.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -21,7 +20,6 @@
 #include "tibsim/common/units.hpp"
 #include "tibsim/mpi/payload_pool.hpp"
 #include "tibsim/mpi/simmpi.hpp"
-#include "tibsim/sim/execution_context.hpp"
 
 namespace tibsim::mpi {
 namespace {
@@ -38,30 +36,24 @@ WorldConfig testConfig(int ranksPerNode = 1,
   return cfg;
 }
 
-// WorldConfig snapshots the process-wide default backend at construction;
-// pinning the default per test keeps every MpiWorld below on the requested
-// backend without touching the test bodies.
-class SimMpiTest : public ::testing::TestWithParam<sim::ExecBackend> {
- protected:
-  sim::ScopedExecBackend scoped_{GetParam()};
-};
+// One "fiber" instance per suite: it keeps the suites' established test
+// names (Backends/<Suite>.<Test>/fiber) for filters and logs.
+enum class Engine { Fiber };
 
-#define TIBSIM_INSTANTIATE_BACKENDS(fixture)                          \
-  INSTANTIATE_TEST_SUITE_P(Backends, fixture,                         \
-                           ::testing::Values(sim::ExecBackend::Fiber, \
-                                             sim::ExecBackend::Thread), \
-                           [](const auto& paramInfo) {                \
-                             return std::string(                      \
-                                 sim::toString(paramInfo.param));     \
-                           })
+class SimMpiTest : public ::testing::TestWithParam<Engine> {};
+
+#define TIBSIM_INSTANTIATE_FIBER(fixture)                               \
+  INSTANTIATE_TEST_SUITE_P(Backends, fixture,                           \
+                           ::testing::Values(Engine::Fiber),            \
+                           [](const auto&) { return std::string("fiber"); })
 
 class SimMpiNonblockingTest : public SimMpiTest {};
 class SimMpiCollectivesTest : public SimMpiTest {};
 class SimMpiCollectiveVerifyTest : public SimMpiTest {};
-TIBSIM_INSTANTIATE_BACKENDS(SimMpiTest);
-TIBSIM_INSTANTIATE_BACKENDS(SimMpiNonblockingTest);
-TIBSIM_INSTANTIATE_BACKENDS(SimMpiCollectivesTest);
-TIBSIM_INSTANTIATE_BACKENDS(SimMpiCollectiveVerifyTest);
+TIBSIM_INSTANTIATE_FIBER(SimMpiTest);
+TIBSIM_INSTANTIATE_FIBER(SimMpiNonblockingTest);
+TIBSIM_INSTANTIATE_FIBER(SimMpiCollectivesTest);
+TIBSIM_INSTANTIATE_FIBER(SimMpiCollectiveVerifyTest);
 
 TEST_P(SimMpiTest, RankAndSizeVisible) {
   MpiWorld world(testConfig(), 4);
@@ -227,7 +219,7 @@ TEST_P(SimMpiTest, DeadlockWithoutWatchdogPointsAtTheFlag) {
 
 TEST_P(SimMpiTest, StallReportListsEveryBlockedRank) {
   // The report is derived from simulated state only, so the exact lines
-  // can be pinned: identical on both backends and any shard count.
+  // can be pinned: identical on any shard count.
   obs::ScopedStallReport scoped(true);
   MpiWorld world(testConfig(), 4);
   try {
@@ -435,18 +427,51 @@ TEST_P(SimMpiTest, ComputeAdvancesClockAndAccounts) {
 
 // ---- Collectives -----------------------------------------------------------
 
+// Where a collective's ranks run. `Queue`: the default world, one event
+// queue on the test's thread. `Gang`: one node per leaf switch and one
+// shard per leaf, every multi-shard window fanned out to a two-thread
+// worker gang, so the ranks' fibers are resumed by worker threads. The
+// instances keep the suite's established names, "<n>_fiber" and
+// "<n>_thread".
+enum class Layout { Queue, Gang };
+
 class CollectiveSizes
-    : public ::testing::TestWithParam<std::tuple<int, sim::ExecBackend>> {
+    : public ::testing::TestWithParam<std::tuple<int, Layout>> {
  protected:
+  CollectiveSizes() {
+    if (gang()) forcedGang_.emplace("TIBSIM_SHARD_THREADS", "2");
+  }
+
   int ranks() const { return std::get<0>(GetParam()); }
-  sim::ScopedExecBackend scoped_{std::get<1>(GetParam())};
+  bool gang() const { return std::get<1>(GetParam()) == Layout::Gang; }
+
+  WorldConfig config() const {
+    WorldConfig cfg = testConfig();
+    if (gang()) {
+      cfg.topology.nodesPerLeafSwitch = 1;
+      cfg.simShards = ranks();
+    }
+    return cfg;
+  }
+
+  WorldStats run(MpiWorld& world, const MpiWorld::RankBody& body) const {
+    const WorldStats stats = world.run(body);
+    if (gang()) {
+      EXPECT_EQ(stats.engine.shardCount, static_cast<std::size_t>(ranks()));
+      EXPECT_GT(stats.engine.shardFanoutWindows, 0u);
+    }
+    return stats;
+  }
+
+ private:
+  std::optional<testing::ScopedEnv> forcedGang_;
 };
 
 TEST_P(CollectiveSizes, BarrierSynchronises) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<double> after(static_cast<std::size_t>(n), 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     // Rank r works r milliseconds, then hits the barrier.
     ctx.computeSeconds(1e-3 * ctx.rank());
     ctx.barrier();
@@ -460,9 +485,9 @@ TEST_P(CollectiveSizes, BarrierSynchronises) {
 TEST_P(CollectiveSizes, BcastDeliversRootData) {
   const int n = ranks();
   const int root = n > 2 ? 2 : 0;
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<std::vector<double>> results(static_cast<std::size_t>(n));
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     std::vector<double> data;
     if (ctx.rank() == root) data = {3.0, 1.0, 4.0, 1.0, 5.0};
     results[static_cast<std::size_t>(ctx.rank())] =
@@ -474,9 +499,9 @@ TEST_P(CollectiveSizes, BcastDeliversRootData) {
 
 TEST_P(CollectiveSizes, ReduceSumsContributions) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<double> rootResult;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     const std::vector<double> mine = {static_cast<double>(ctx.rank()),
                                       1.0};
     const auto out = ctx.reduceSum(mine, 0);
@@ -489,9 +514,9 @@ TEST_P(CollectiveSizes, ReduceSumsContributions) {
 
 TEST_P(CollectiveSizes, AllreduceGivesEveryoneTheSum) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<double> sums(static_cast<std::size_t>(n), 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     sums[static_cast<std::size_t>(ctx.rank())] =
         ctx.allreduceSum(static_cast<double>(ctx.rank() + 1));
   });
@@ -500,9 +525,9 @@ TEST_P(CollectiveSizes, AllreduceGivesEveryoneTheSum) {
 
 TEST_P(CollectiveSizes, AllreduceMaxFindsGlobalMax) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<double> maxes(static_cast<std::size_t>(n), 0.0);
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     // Values peak in the middle to exercise non-root extremes.
     const double mine = -std::abs(ctx.rank() - n / 2.0);
     maxes[static_cast<std::size_t>(ctx.rank())] = ctx.allreduceMax(mine);
@@ -513,9 +538,9 @@ TEST_P(CollectiveSizes, AllreduceMaxFindsGlobalMax) {
 
 TEST_P(CollectiveSizes, GatherCollectsInRankOrder) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<double> gathered;
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     const auto all = ctx.gather(static_cast<double>(ctx.rank() * 10), 0);
     if (ctx.rank() == 0) gathered = all;
   });
@@ -526,9 +551,9 @@ TEST_P(CollectiveSizes, GatherCollectsInRankOrder) {
 
 TEST_P(CollectiveSizes, AllgatherEveryoneSeesAll) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
+  MpiWorld world(config(), n);
   std::vector<std::vector<double>> results(static_cast<std::size_t>(n));
-  world.run([&](MpiContext& ctx) {
+  run(world, [&](MpiContext& ctx) {
     results[static_cast<std::size_t>(ctx.rank())] =
         ctx.allgather(static_cast<double>(ctx.rank()));
   });
@@ -541,8 +566,8 @@ TEST_P(CollectiveSizes, AllgatherEveryoneSeesAll) {
 
 TEST_P(CollectiveSizes, AlltoallCompletes) {
   const int n = ranks();
-  MpiWorld world(testConfig(), n);
-  const auto stats = world.run([&](MpiContext& ctx) {
+  MpiWorld world(config(), n);
+  const auto stats = run(world, [&](MpiContext& ctx) {
     ctx.alltoallBytes(4096);
   });
   // Every ordered pair exchanged one message.
@@ -552,11 +577,11 @@ TEST_P(CollectiveSizes, AlltoallCompletes) {
 INSTANTIATE_TEST_SUITE_P(
     RankCounts, CollectiveSizes,
     ::testing::Combine(::testing::Values(2, 3, 4, 5, 8, 13, 16),
-                       ::testing::Values(sim::ExecBackend::Fiber,
-                                         sim::ExecBackend::Thread)),
+                       ::testing::Values(Layout::Queue, Layout::Gang)),
     [](const auto& paramInfo) {
-      return std::to_string(std::get<0>(paramInfo.param)) + "_" +
-             sim::toString(std::get<1>(paramInfo.param));
+      return std::to_string(std::get<0>(paramInfo.param)) +
+             (std::get<1>(paramInfo.param) == Layout::Queue ? "_fiber"
+                                                            : "_thread");
     });
 
 TEST_P(SimMpiNonblockingTest, IrecvOverlapsComputeWithArrival) {
@@ -1231,7 +1256,7 @@ TEST_P(SimMpiTest, RepeatedRunOnOneWorldRepeatsItsResults) {
 // ---------------------------------------------------------------------------
 
 class SimMpiCommunicatorTest : public SimMpiTest {};
-TIBSIM_INSTANTIATE_BACKENDS(SimMpiCommunicatorTest);
+TIBSIM_INSTANTIATE_FIBER(SimMpiCommunicatorTest);
 
 TEST_P(SimMpiCommunicatorTest, WorldCommunicatorIsIdentity) {
   MpiWorld world(testConfig(), 4);
@@ -1268,8 +1293,8 @@ TEST_P(SimMpiCommunicatorTest, WildcardRecvReportsSourceAndTag) {
 
 TEST_P(SimMpiCommunicatorTest, WildcardRecvIsDeterministicAcrossShards) {
   // Four senders race into one wildcard receiver; the matched (src, tag)
-  // sequence must be identical for every shard count (and both backends,
-  // via the suite parameter). Tiny leaf switches force real sharding.
+  // sequence must be identical for every shard count. Tiny leaf switches
+  // force real sharding.
   auto sequence = [](int shards) {
     WorldConfig cfg = testConfig();
     cfg.topology.nodesPerLeafSwitch = 2;

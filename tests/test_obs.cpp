@@ -297,7 +297,7 @@ TEST(Exporters, BreakdownCsvHasOneRowPerRank) {
 }
 
 // ---------------------------------------------------------------------------
-// World-level accounting and backend determinism
+// World-level accounting and determinism
 // ---------------------------------------------------------------------------
 
 mpi::WorldConfig tegraConfig() {
@@ -335,42 +335,12 @@ TEST(WorldTrace, StatsCarryTraceAccounting) {
   EXPECT_EQ(quietStats.traceMemoryBytes, 0u);
 }
 
-std::vector<TraceSpan> sampledRun(sim::ExecBackend backend) {
-  mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = backend;
-  cfg.traceMode = TraceMode::Sampled;
-  cfg.traceReservoirPerRank = 16;
-  cfg.traceSeed = 7;
-  mpi::MpiWorld world(cfg, 4);
-  world.enableTracing();
-  world.run(commHeavyBody);
-  return world.tracer().retainedSpans();
-}
-
-TEST(WorldTrace, SampledReservoirIdenticalAcrossBackends) {
-  const auto fiber = sampledRun(sim::ExecBackend::Fiber);
-  const auto thread = sampledRun(sim::ExecBackend::Thread);
-  ASSERT_FALSE(fiber.empty());
-  ASSERT_EQ(fiber.size(), thread.size());
-  for (std::size_t i = 0; i < fiber.size(); ++i) {
-    EXPECT_EQ(fiber[i].rank, thread[i].rank);
-    EXPECT_EQ(fiber[i].kind, thread[i].kind);
-    EXPECT_DOUBLE_EQ(fiber[i].begin, thread[i].begin);
-    EXPECT_DOUBLE_EQ(fiber[i].end, thread[i].end);
-    EXPECT_EQ(fiber[i].peer, thread[i].peer);
-    EXPECT_EQ(fiber[i].bytes, thread[i].bytes);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Link telemetry, critical path and sharded exporter identity
 // ---------------------------------------------------------------------------
 
-mpi::WorldConfig shardableConfig(int shards,
-                                 sim::ExecBackend backend =
-                                     sim::ExecBackend::Fiber) {
+mpi::WorldConfig shardableConfig(int shards) {
   mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = backend;
   cfg.topology.nodesPerLeafSwitch = 2;  // tiny leaves force real sharding
   cfg.simShards = shards;
   return cfg;
@@ -437,30 +407,26 @@ TEST(CriticalPath, DecomposesWallClockExactly) {
               1e-12 * stats.wallClockSeconds);
 }
 
-TEST(CriticalPath, IdenticalAcrossShardsAndBackends) {
-  const auto run = [](sim::ExecBackend backend, int shards) {
-    mpi::MpiWorld world(shardableConfig(shards, backend), 8);
+TEST(CriticalPath, IdenticalAcrossShards) {
+  const auto run = [](int shards) {
+    mpi::MpiWorld world(shardableConfig(shards), 8);
     return world.run(commHeavyBody).criticalPath;
   };
-  const obs::CriticalPath base = run(sim::ExecBackend::Fiber, 1);
-  for (const auto backend :
-       {sim::ExecBackend::Fiber, sim::ExecBackend::Thread}) {
-    for (int shards : {1, 2, 4}) {
-      const obs::CriticalPath got = run(backend, shards);
-      EXPECT_EQ(got.endRank, base.endRank);
-      EXPECT_EQ(got.edges, base.edges);
-      EXPECT_DOUBLE_EQ(got.computeSeconds, base.computeSeconds);
-      EXPECT_DOUBLE_EQ(got.sendSeconds, base.sendSeconds);
-      EXPECT_DOUBLE_EQ(got.recvSeconds, base.recvSeconds);
-      EXPECT_DOUBLE_EQ(got.linkSeconds, base.linkSeconds);
-      EXPECT_DOUBLE_EQ(got.waitSeconds, base.waitSeconds);
-    }
+  const obs::CriticalPath base = run(1);
+  for (int shards : {1, 2, 4}) {
+    const obs::CriticalPath got = run(shards);
+    EXPECT_EQ(got.endRank, base.endRank);
+    EXPECT_EQ(got.edges, base.edges);
+    EXPECT_DOUBLE_EQ(got.computeSeconds, base.computeSeconds);
+    EXPECT_DOUBLE_EQ(got.sendSeconds, base.sendSeconds);
+    EXPECT_DOUBLE_EQ(got.recvSeconds, base.recvSeconds);
+    EXPECT_DOUBLE_EQ(got.linkSeconds, base.linkSeconds);
+    EXPECT_DOUBLE_EQ(got.waitSeconds, base.waitSeconds);
   }
 }
 
-std::pair<std::string, std::string> shardedArtefacts(
-    sim::ExecBackend backend, int shards) {
-  mpi::WorldConfig cfg = shardableConfig(shards, backend);
+std::pair<std::string, std::string> shardedArtefacts(int shards) {
+  mpi::WorldConfig cfg = shardableConfig(shards);
   cfg.traceMode = TraceMode::Sampled;
   cfg.traceReservoirPerRank = 16;
   cfg.traceSeed = 7;
@@ -475,20 +441,14 @@ std::pair<std::string, std::string> shardedArtefacts(
 }
 
 TEST(Exporters, ShardedRunsExportByteIdenticalArtefacts) {
-  for (const auto backend :
-       {sim::ExecBackend::Fiber, sim::ExecBackend::Thread}) {
-    const auto base = shardedArtefacts(backend, 1);
-    ASSERT_EQ(base.first.rfind("#Paraver", 0), 0u);
-    ASSERT_NE(base.second.find("rank,compute_s"), std::string::npos);
-    for (int shards : {2, 8}) {
-      const auto got = shardedArtefacts(backend, shards);
-      EXPECT_EQ(got.first, base.first)
-          << "prv differs: backend=" << sim::toString(backend)
-          << " shards=" << shards;
-      EXPECT_EQ(got.second, base.second)
-          << "breakdown differs: backend=" << sim::toString(backend)
-          << " shards=" << shards;
-    }
+  const auto base = shardedArtefacts(1);
+  ASSERT_EQ(base.first.rfind("#Paraver", 0), 0u);
+  ASSERT_NE(base.second.find("rank,compute_s"), std::string::npos);
+  for (int shards : {2, 8}) {
+    const auto got = shardedArtefacts(shards);
+    EXPECT_EQ(got.first, base.first) << "prv differs: shards=" << shards;
+    EXPECT_EQ(got.second, base.second)
+        << "breakdown differs: shards=" << shards;
   }
 }
 
@@ -556,26 +516,12 @@ TEST(Imb, StatsHookSeesEveryWorld) {
 
 TEST(StackTelemetry, HighWaterWithinConfiguredStack) {
   mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = sim::ExecBackend::Fiber;
   cfg.fiberStackBytes = 64 * 1024;
   mpi::MpiWorld world(cfg, 4);
   const auto stats = world.run(commHeavyBody);
   EXPECT_EQ(stats.engine.fiberStackBytes, 64u * 1024u);
   EXPECT_GT(stats.engine.stackHighWaterBytes, 0u);
   EXPECT_LE(stats.engine.stackHighWaterBytes, 64u * 1024u);
-}
-
-TEST(StackTelemetry, ThreadBackendReportsNone) {
-  mpi::WorldConfig cfg = tegraConfig();
-  cfg.simBackend = sim::ExecBackend::Thread;
-  cfg.fiberStackBytes = 64 * 1024;  // ignored by the thread backend
-  mpi::MpiWorld world(cfg, 2);
-  const auto stats = world.run([](mpi::MpiContext& ctx) {
-    ctx.computeSeconds(1e-3);
-    ctx.barrier();
-  });
-  EXPECT_EQ(stats.engine.fiberStackBytes, 0u);
-  EXPECT_EQ(stats.engine.stackHighWaterBytes, 0u);
 }
 
 // Burn stack frames with a volatile local so the frames cannot be elided;
@@ -588,7 +534,7 @@ int burnStack(int depth) {
 }
 
 std::size_t highWaterAtDepth(int depth) {
-  sim::Simulation sim(sim::ExecBackend::Fiber, 256 * 1024);
+  sim::Simulation sim(256 * 1024);
   sim.spawn("burner", [depth](sim::Process&) { burnStack(depth); });
   sim.run();
   return sim.engineStats().stackHighWaterBytes;
@@ -618,12 +564,12 @@ TEST(StackTelemetry, SubSixtyFourKiBStackChosenFromReportedHighWater) {
   cluster::ClusterSimulation probeSim(spec);
   const cluster::JobResult probe = probeSim.runJob(16, body);
 
-  std::size_t stackBytes = 16 * 1024;  // the engine's minimum
-  if (probe.stats.engine.stackHighWaterBytes > 0) {
-    // Round the observed high water up to 4 KiB and double it for margin.
-    const std::size_t hwm = probe.stats.engine.stackHighWaterBytes;
-    stackBytes = std::max<std::size_t>(stackBytes, ((hwm + 4095) / 4096) * 4096 * 2);
-  }
+  // Round the observed high water up to 4 KiB and double it for margin,
+  // floored at the engine's minimum.
+  const std::size_t hwm = probe.stats.engine.stackHighWaterBytes;
+  ASSERT_GT(hwm, 0u);
+  const std::size_t stackBytes = std::max<std::size_t>(
+      16 * 1024, ((hwm + 4095) / 4096) * 4096 * 2);
   ASSERT_LT(stackBytes, 64u * 1024u)
       << "reported high water " << probe.stats.engine.stackHighWaterBytes;
 
@@ -633,9 +579,7 @@ TEST(StackTelemetry, SubSixtyFourKiBStackChosenFromReportedHighWater) {
   const cluster::JobResult rerun = sim.runJob(16, body, options);
   EXPECT_DOUBLE_EQ(rerun.wallClockSeconds, probe.wallClockSeconds);
   EXPECT_LE(rerun.stats.engine.stackHighWaterBytes, stackBytes);
-  if (rerun.stats.engine.fiberStackBytes > 0) {
-    EXPECT_EQ(rerun.stats.engine.fiberStackBytes, stackBytes);
-  }
+  EXPECT_EQ(rerun.stats.engine.fiberStackBytes, stackBytes);
 }
 
 }  // namespace

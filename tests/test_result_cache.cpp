@@ -28,7 +28,6 @@ core::CacheKeyInputs baseInputs() {
   inputs.experiment = "tab01";
   inputs.versionTag = "1";
   inputs.seed = 42;
-  inputs.simBackend = "fiber";
   inputs.traceMode = "full";
   inputs.simShards = 1;
   inputs.stallReport = false;
@@ -54,7 +53,6 @@ TEST(CacheKey, EveryIngredientFlipsTheKeyIndependently) {
   EXPECT_NE(flipped([](auto& i) { i.experiment = "tab02"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.versionTag = "2"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.seed = 43; }), key);
-  EXPECT_NE(flipped([](auto& i) { i.simBackend = "thread"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.traceMode = "aggregate"; }), key);
   EXPECT_NE(flipped([](auto& i) { i.simShards = 8; }), key);
   EXPECT_NE(flipped([](auto& i) { i.stallReport = true; }), key);

@@ -1,12 +1,11 @@
 // Tests for the discrete-event engine: ordering, process semantics,
-// determinism, teardown, exception capture, engine stats. The whole suite
-// is parameterised over both ExecutionContext backends — every behaviour
-// here is backend-independent by contract.
+// determinism, teardown, exception capture, engine stats, fiber stacks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,18 +29,48 @@ std::string procName(int i) {
   return name;
 }
 
-class SimulationTest : public ::testing::TestWithParam<ExecBackend> {
+// Which host thread drives the engine. Processes are always spawned, and
+// the engine always torn down, on the test's own thread. `Worker` runs
+// run()/runUntil() on a fresh thread instead: the hand-over a shard gang
+// makes when its worker threads resume a shard's fibers. The instances
+// keep the suite's established names, "fiber" and "thread".
+enum class Host { Caller, Worker };
+
+class SimulationTest : public ::testing::TestWithParam<Host> {
  protected:
-  // Simulation() and WorldConfig pick up the process-wide default; pinning
-  // it per test keeps the bodies identical to non-parameterised code.
-  ScopedExecBackend scoped_{GetParam()};
+  void drive(Simulation& sim) const {
+    onHost([&] { sim.run(); });
+  }
+  void driveUntil(Simulation& sim, double deadline) const {
+    onHost([&] { sim.runUntil(deadline); });
+  }
+
+ private:
+  template <class Fn>
+  void onHost(Fn&& fn) const {
+    if (GetParam() == Host::Caller) {
+      fn();
+      return;
+    }
+    std::exception_ptr error;
+    std::thread worker([&] {
+      try {
+        fn();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+    worker.join();
+    if (error) std::rethrow_exception(error);
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, SimulationTest,
-                         ::testing::Values(ExecBackend::Fiber,
-                                           ExecBackend::Thread),
+                         ::testing::Values(Host::Caller, Host::Worker),
                          [](const auto& paramInfo) {
-                           return std::string(toString(paramInfo.param));
+                           return std::string(paramInfo.param == Host::Caller
+                                                  ? "fiber"
+                                                  : "thread");
                          });
 
 TEST_P(SimulationTest, EventsFireInTimeOrder) {
@@ -50,7 +79,7 @@ TEST_P(SimulationTest, EventsFireInTimeOrder) {
   sim.scheduleAt(3.0, [&] { order.push_back(3); });
   sim.scheduleAt(1.0, [&] { order.push_back(1); });
   sim.scheduleAt(2.0, [&] { order.push_back(2); });
-  sim.run();
+  drive(sim);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
@@ -60,14 +89,14 @@ TEST_P(SimulationTest, EqualTimestampsFifo) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i)
     sim.scheduleAt(1.0, [&order, i] { order.push_back(i); });
-  sim.run();
+  drive(sim);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 TEST_P(SimulationTest, SchedulingInThePastThrows) {
   Simulation sim;
   sim.scheduleAt(5.0, [] {});
-  sim.run();
+  drive(sim);
   EXPECT_THROW(sim.scheduleAt(1.0, [] {}), ContractError);
 }
 
@@ -78,7 +107,7 @@ TEST_P(SimulationTest, EventsCanScheduleMoreEvents) {
     ++fired;
     sim.scheduleIn(1.0, [&] { ++fired; });
   });
-  sim.run();
+  drive(sim);
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
@@ -88,17 +117,10 @@ TEST_P(SimulationTest, RunUntilStopsAtDeadline) {
   int fired = 0;
   sim.scheduleAt(1.0, [&] { ++fired; });
   sim.scheduleAt(10.0, [&] { ++fired; });
-  sim.runUntil(5.0);
+  driveUntil(sim, 5.0);
   EXPECT_EQ(fired, 1);
-  sim.run();
+  drive(sim);
   EXPECT_EQ(fired, 2);
-}
-
-TEST_P(SimulationTest, BackendIsTheRequestedOne) {
-  Simulation sim;
-  EXPECT_EQ(sim.backend(), GetParam());
-  Simulation explicitSim(GetParam());
-  EXPECT_EQ(explicitSim.backend(), GetParam());
 }
 
 TEST_P(SimulationTest, DelayAdvancesSimTime) {
@@ -108,7 +130,7 @@ TEST_P(SimulationTest, DelayAdvancesSimTime) {
     p.delay(2.5);
     observed = p.now();
   });
-  sim.run();
+  drive(sim);
   EXPECT_DOUBLE_EQ(observed, 2.5);
   EXPECT_EQ(sim.liveProcessCount(), 0u);
 }
@@ -126,7 +148,7 @@ TEST_P(SimulationTest, MultipleProcessesInterleaveByTime) {
     p.delay(2.0);
     log.push_back("b2");
   });
-  sim.run();
+  drive(sim);
   EXPECT_EQ(log, (std::vector<std::string>{"a1", "b2", "a3"}));
 }
 
@@ -144,7 +166,7 @@ TEST_P(SimulationTest, SuspendResumeHandshake) {
     p.delay(5.0);
     p.simulation().resume(*waiterPtr);
   });
-  sim.run();
+  drive(sim);
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1], "woken at 5");
 }
@@ -163,14 +185,14 @@ TEST_P(SimulationTest, StaleWakeupsAreDropped) {
     sim.resume(target);
     sim.resume(target);  // stale duplicate
   });
-  sim.run();
+  drive(sim);
   EXPECT_DOUBLE_EQ(finishTime, 11.0);
 }
 
 TEST_P(SimulationTest, NegativeDelayThrows) {
   Simulation sim;
   sim.spawn("p", [&](Process& p) { p.delay(-1.0); });
-  sim.run();
+  drive(sim);
   // The exception is captured on the process and visible afterwards.
   std::size_t withException = 0;
   // run() drained; the process finished with a stored exception.
@@ -183,7 +205,7 @@ TEST_P(SimulationTest, ExceptionsAreCaptured) {
   auto& p = sim.spawn("thrower", [](Process&) {
     throw std::runtime_error("boom");
   });
-  sim.run();
+  drive(sim);
   ASSERT_NE(p.exception(), nullptr);
   EXPECT_THROW(std::rethrow_exception(p.exception()), std::runtime_error);
 }
@@ -191,7 +213,7 @@ TEST_P(SimulationTest, ExceptionsAreCaptured) {
 TEST_P(SimulationTest, TeardownWithBlockedProcessesDoesNotHang) {
   auto sim = std::make_unique<Simulation>();
   sim->spawn("stuck", [](Process& p) { p.suspend(); });
-  sim->run();  // drains with the process still suspended
+  drive(*sim);  // drains with the process still suspended
   EXPECT_EQ(sim->liveProcessCount(), 1u);
   sim.reset();  // must unwind and join cleanly
   SUCCEED();
@@ -217,7 +239,7 @@ TEST_P(SimulationTest, KillRunsDestructorsWhileBlockedInDelay) {
     }
     ADD_FAILURE() << "body must not resume after teardown";
   });
-  sim->runUntil(1.0);  // starts the body, which parks inside delay(100)
+  driveUntil(*sim, 1.0);  // starts the body, which parks inside delay(100)
   ASSERT_EQ(destroyed, 0);
   ASSERT_EQ(sim->liveProcessCount(), 1u);
   sim.reset();  // ProcessKilled unwinds both frames
@@ -239,7 +261,7 @@ TEST_P(SimulationTest, KillRunsDestructorsWhileSuspended) {
     p.suspend();
     ADD_FAILURE() << "body must not resume after teardown";
   });
-  sim->run();
+  drive(*sim);
   ASSERT_EQ(destroyed, 0);
   sim.reset();
   EXPECT_EQ(destroyed, 1);
@@ -256,7 +278,7 @@ TEST_P(SimulationTest, ExceptionRethrowsOnHostAfterTeardown) {
       throw std::runtime_error("boom at t=0.5");
     });
     sim.spawn("stuck", [](Process& p) { p.suspend(); });
-    sim.run();
+    drive(sim);
     ASSERT_NE(thrower.exception(), nullptr);
     captured = thrower.exception();
     EXPECT_EQ(sim.liveProcessCount(), 1u);
@@ -278,7 +300,7 @@ TEST_P(SimulationTest, TeardownBeforeFirstDispatchSkipsBody) {
 }
 
 TEST_P(SimulationTest, DeterministicAcrossRuns) {
-  auto runOnce = [] {
+  auto runOnce = [this] {
     Simulation sim;
     std::vector<double> times;
     for (int i = 0; i < 5; ++i) {
@@ -289,7 +311,7 @@ TEST_P(SimulationTest, DeterministicAcrossRuns) {
         times.push_back(p.now());
       });
     }
-    sim.run();
+    drive(sim);
     return times;
   };
   EXPECT_EQ(runOnce(), runOnce());
@@ -304,7 +326,7 @@ TEST_P(SimulationTest, ManyProcessesComplete) {
       ++done;
     });
   }
-  sim.run();
+  drive(sim);
   EXPECT_EQ(done, 200);
   EXPECT_GE(sim.processedEvents(), 400u);
 }
@@ -317,7 +339,7 @@ TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
       p.delay(1.0);
     });
   }
-  sim.run();
+  drive(sim);
   const EngineStats stats = sim.engineStats();
   // 3 start events + 3 x 2 delay wake-ups.
   EXPECT_EQ(stats.eventsDispatched, 9u);
@@ -328,43 +350,6 @@ TEST_P(SimulationTest, EngineStatsCountTheMachinery) {
   EXPECT_GE(stats.queueHighWater, 3u);
   EXPECT_DOUBLE_EQ(stats.simSeconds, 2.0);
   EXPECT_EQ(sim.processedEvents(), stats.eventsDispatched);
-}
-
-// The engine counters are part of the campaign artefacts, so they must be
-// identical across backends, not merely "both plausible".
-TEST(ExecutionContexts, BackendsProduceIdenticalStatsAndTimes) {
-  auto runOnce = [](ExecBackend backend) {
-    ScopedExecBackend scoped(backend);
-    Simulation sim;
-    std::vector<double> times;
-    for (int i = 0; i < 8; ++i) {
-      sim.spawn(procName(i), [&times, i](Process& p) {
-        p.delay(0.01 * (i + 1));
-        times.push_back(p.now());
-        p.delay(0.02);
-        times.push_back(p.now());
-      });
-    }
-    sim.run();
-    return std::make_pair(times, sim.engineStats());
-  };
-  const auto [fiberTimes, fiberStats] = runOnce(ExecBackend::Fiber);
-  const auto [threadTimes, threadStats] = runOnce(ExecBackend::Thread);
-  EXPECT_EQ(fiberTimes, threadTimes);
-  EXPECT_EQ(fiberStats.eventsDispatched, threadStats.eventsDispatched);
-  EXPECT_EQ(fiberStats.contextSwitches, threadStats.contextSwitches);
-  EXPECT_EQ(fiberStats.processesSpawned, threadStats.processesSpawned);
-  EXPECT_EQ(fiberStats.peakLiveProcesses, threadStats.peakLiveProcesses);
-  EXPECT_EQ(fiberStats.queueHighWater, threadStats.queueHighWater);
-  EXPECT_DOUBLE_EQ(fiberStats.simSeconds, threadStats.simSeconds);
-}
-
-TEST(ExecutionContexts, ParseAndToStringRoundTrip) {
-  EXPECT_EQ(parseExecBackend("fiber"), ExecBackend::Fiber);
-  EXPECT_EQ(parseExecBackend("thread"), ExecBackend::Thread);
-  EXPECT_STREQ(toString(ExecBackend::Fiber), "fiber");
-  EXPECT_STREQ(toString(ExecBackend::Thread), "thread");
-  EXPECT_THROW(parseExecBackend("green-threads"), ContractError);
 }
 
 TEST(StackAutoSizing, RecommendedStackBytesIsTwiceHwmPageRounded) {
@@ -388,8 +373,8 @@ TEST(StackAutoSizing, RecommendedStackBytesIsTwiceHwmPageRounded) {
 
 TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
   // The probe-then-sweep pattern end-to-end at engine level: measure a
-  // workload's stack high-water mark on the fiber backend, then rerun the
-  // same workload on stacks sized from the telemetry.
+  // workload's fiber stack high-water mark, then rerun the same workload
+  // on stacks sized from the telemetry.
   const auto workload = [](Simulation& sim) {
     for (int i = 0; i < 8; ++i) {
       sim.spawn(procName(i), [](Process& p) {
@@ -401,16 +386,14 @@ TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
     }
     sim.run();
   };
-  Simulation probe(ExecBackend::Fiber);
+  Simulation probe;
   workload(probe);
   const std::size_t hwm = probe.engineStats().stackHighWaterBytes;
-  if (probe.engineStats().fiberStackBytes == 0)
-    GTEST_SKIP() << "fiber backend unavailable (sanitizer fallback)";
   ASSERT_GT(hwm, 0u);
   const std::size_t sized = recommendedStackBytes(hwm);
   ASSERT_GE(sized, kMinFiberStackBytes);
   ASSERT_LT(sized, ExecutionContext::defaultStackBytes());
-  Simulation sweep(ExecBackend::Fiber, sized);
+  Simulation sweep(sized);
   workload(sweep);
   EXPECT_EQ(sweep.engineStats().fiberStackBytes, sized);
   EXPECT_LE(sweep.engineStats().stackHighWaterBytes, sized);
@@ -420,11 +403,6 @@ TEST(StackAutoSizing, ProbeTelemetryFeedsARunnableRecommendation) {
 // the PROT_NONE guard page (killing the process) instead of silently
 // scribbling over a neighbouring fiber's stack.
 TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
-  {
-    const auto probe = ExecutionContext::create(ExecBackend::Fiber);
-    if (probe->backend() != ExecBackend::Fiber)
-      GTEST_SKIP() << "fiber backend unavailable (sanitizer fallback)";
-  }
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -441,7 +419,7 @@ TEST(FiberGuardPageDeathTest, OverflowFaultsOnGuardPage) {
             return frame[0] + frame[sizeof(frame) - 1];
           }
         };
-        Simulation sim(ExecBackend::Fiber, kMinFiberStackBytes);
+        Simulation sim(kMinFiberStackBytes);
         // 64 x 1 KiB frames overrun the 16 KiB minimum stack well before
         // the recursion bottoms out.
         sim.spawn("overflow", [](Process&) {
@@ -608,20 +586,6 @@ TEST(ShardScheduler, AlternatingNarrowAndWideWindowsKeepOneQueueOrder) {
   // By default only the wide windows go to the gang (if the host has one).
   const auto [fanned, gang] = sharded(nullptr);
   EXPECT_EQ(fanned, gang >= 2 ? static_cast<std::uint64_t>(kRounds) : 0u);
-}
-
-TEST(ExecutionContexts, ScopedOverrideRestoresPrevious) {
-  const ExecBackend before = defaultExecBackend();
-  {
-    ScopedExecBackend scoped(ExecBackend::Thread);
-    EXPECT_EQ(defaultExecBackend(), ExecBackend::Thread);
-    {
-      ScopedExecBackend nested(ExecBackend::Fiber);
-      EXPECT_EQ(defaultExecBackend(), ExecBackend::Fiber);
-    }
-    EXPECT_EQ(defaultExecBackend(), ExecBackend::Thread);
-  }
-  EXPECT_EQ(defaultExecBackend(), before);
 }
 
 }  // namespace

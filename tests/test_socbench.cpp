@@ -333,35 +333,11 @@ TEST(Campaign, ThrowsWhenNothingMatches) {
   EXPECT_THROW(core::runCampaign(options, sink), ContractError);
 }
 
-core::CampaignResult backendCampaign(const std::string& backend,
-                                     const std::string& pattern) {
-  core::CampaignOptions options;
-  options.patterns = {pattern};
-  options.summary = false;
-  options.simBackend = backend;
-  std::ostringstream sink;
-  return core::runCampaign(options, sink);
-}
-
-TEST(Campaign, JsonIsByteIdenticalAcrossSimBackends) {
-  // imb_suite drives full simMPI worlds, so the simulated clocks and
-  // engine counters both cross the backend boundary. The artefacts must not
-  // depend on which ExecutionContext ran the ranks.
-  const auto fiber = backendCampaign("fiber", "imb_suite");
-  const auto thread = backendCampaign("thread", "imb_suite");
-  ASSERT_EQ(fiber.runs.size(), 1u);
-  ASSERT_EQ(thread.runs.size(), 1u);
-  EXPECT_FALSE(fiber.runs[0].json.empty());
-  EXPECT_EQ(fiber.runs[0].json, thread.runs[0].json);
-}
-
-core::CampaignResult shardedCampaign(int shards, const std::string& backend,
-                                     const std::string& pattern) {
+core::CampaignResult shardedCampaign(int shards, const std::string& pattern) {
   core::CampaignOptions options;
   options.patterns = {pattern};
   options.summary = false;
   options.simShards = shards;
-  options.simBackend = backend;
   std::ostringstream sink;
   return core::runCampaign(options, sink);
 }
@@ -372,9 +348,9 @@ TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
   // leaf count). The conservative windows plus the barrier merge must
   // reconstruct the single-queue dispatch order exactly: the artefact
   // bytes may not depend on the shard count.
-  const auto one = shardedCampaign(1, "", "fig06");
-  const auto two = shardedCampaign(2, "", "fig06");
-  const auto eight = shardedCampaign(8, "", "fig06");
+  const auto one = shardedCampaign(1, "fig06");
+  const auto two = shardedCampaign(2, "fig06");
+  const auto eight = shardedCampaign(8, "fig06");
   ASSERT_EQ(one.runs.size(), 1u);
   ASSERT_EQ(two.runs.size(), 1u);
   ASSERT_EQ(eight.runs.size(), 1u);
@@ -383,49 +359,45 @@ TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
   EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
 }
 
-TEST(Campaign, ShardedJsonIsByteIdenticalAcrossSimBackends) {
-  // Sharding composes with the execution backend: sharded thread-backend
-  // ranks must serialise the same bytes as sharded fibers.
-  const auto fiber = shardedCampaign(8, "fiber", "ablation_interconnect");
-  const auto thread = shardedCampaign(8, "thread", "ablation_interconnect");
-  ASSERT_EQ(fiber.runs.size(), 1u);
-  ASSERT_EQ(thread.runs.size(), 1u);
-  EXPECT_FALSE(fiber.runs[0].json.empty());
-  EXPECT_EQ(fiber.runs[0].json, thread.runs[0].json);
+TEST(Campaign, InterconnectJsonIsByteIdenticalAcrossShards) {
+  // ablation_interconnect sweeps fabrics and protocols over multi-leaf
+  // worlds other than fig06's; sharding them must not move a byte either.
+  const auto one = shardedCampaign(1, "ablation_interconnect");
+  const auto eight = shardedCampaign(8, "ablation_interconnect");
+  ASSERT_EQ(one.runs.size(), 1u);
+  ASSERT_EQ(eight.runs.size(), 1u);
+  EXPECT_FALSE(one.runs[0].json.empty());
+  EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
 }
 
-TEST(Campaign, TaskFarmJsonIsByteIdenticalAcrossShardsAndBackends) {
+TEST(Campaign, TaskFarmJsonIsByteIdenticalAcrossShards) {
   // The wildcard-receive acceptance bar: the task farm's self-scheduling
   // master matches kAnySource results at up to 2,048 ranks, and the full
   // artefact (including the per-worker distribution the tables derive
-  // from) must not depend on the shard count or the execution backend.
-  const auto one = shardedCampaign(1, "fiber", "taskfarm");
-  const auto two = shardedCampaign(2, "fiber", "taskfarm");
-  const auto eight = shardedCampaign(8, "fiber", "taskfarm");
-  const auto thread = shardedCampaign(8, "thread", "taskfarm");
+  // from) must not depend on the shard count.
+  const auto one = shardedCampaign(1, "taskfarm");
+  const auto two = shardedCampaign(2, "taskfarm");
+  const auto eight = shardedCampaign(8, "taskfarm");
   ASSERT_EQ(one.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
   EXPECT_EQ(one.runs[0].json, two.runs[0].json);
   EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
-  EXPECT_EQ(one.runs[0].json, thread.runs[0].json);
   EXPECT_EQ(one.runs[0].engine.peakLiveProcesses, 2048u);
 }
 
-TEST(Campaign, HydroAsyncJsonIsByteIdenticalAcrossShardsAndBackends) {
+TEST(Campaign, HydroAsyncJsonIsByteIdenticalAcrossShards) {
   // comm.split()/dup() and the non-blocking collectives cross the shard
   // boundary here: communicator ids are minted from traffic, so every
-  // shard count and backend must serialise identical bytes.
-  const auto one = shardedCampaign(1, "fiber", "hydro_async");
-  const auto eight = shardedCampaign(8, "fiber", "hydro_async");
-  const auto thread = shardedCampaign(8, "thread", "hydro_async");
+  // shard count must serialise identical bytes.
+  const auto one = shardedCampaign(1, "hydro_async");
+  const auto eight = shardedCampaign(8, "hydro_async");
   ASSERT_EQ(one.runs.size(), 1u);
   EXPECT_FALSE(one.runs[0].json.empty());
   EXPECT_EQ(one.runs[0].json, eight.runs[0].json);
-  EXPECT_EQ(one.runs[0].json, thread.runs[0].json);
 }
 
 TEST(Campaign, EngineStatsLandInResultDocument) {
-  const auto campaign = backendCampaign("fiber", "imb_suite");
+  const auto campaign = shardedCampaign(1, "imb_suite");
   const json::Value doc = json::Value::parse(campaign.runs[0].json);
   const json::Value* engine = doc.find("engine");
   ASSERT_NE(engine, nullptr);
@@ -446,10 +418,6 @@ TEST(Campaign, ExperimentsWithoutSimulationsOmitEngineBlock) {
   const auto campaign = quietCampaign(1);
   const json::Value doc = json::Value::parse(campaign.runs[0].json);
   EXPECT_EQ(doc.find("engine"), nullptr);
-}
-
-TEST(Campaign, RejectsUnknownSimBackend) {
-  EXPECT_THROW(backendCampaign("green-threads", "fig03"), ContractError);
 }
 
 core::CampaignResult traceModeCampaign(const std::string& mode, int jobs) {
@@ -528,10 +496,11 @@ TEST(Cli, RejectsNonNumericIntegerFlags) {
 }
 
 TEST(Cli, RejectsUnknownFlags) {
-  // The removed subprocess-scheduler flags are usage errors like any other
-  // unknown flag, never silently ignored.
+  // The removed subprocess-scheduler and execution-backend flags are usage
+  // errors like any other unknown flag, never silently ignored.
   EXPECT_EQ(cliExit({"run", "tab01", "--procs", "2"}), 2);
   EXPECT_EQ(cliExit({"run", "tab01", "--worker-cells", "tab01"}), 2);
+  EXPECT_EQ(cliExit({"run", "tab01", "--sim-backend", "fiber"}), 2);
   EXPECT_EQ(cliExit({"run", "tab01", "--bogus"}), 2);
 }
 

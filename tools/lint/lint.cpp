@@ -366,9 +366,10 @@ void checkThreadLocal(const FileContext& ctx, const Rule& rule,
     if (!std::regex_search(ctx.code[i], kTls)) continue;
     emit(ctx, i, rule,
          "thread_local inside fiber-run simulation code: all fibers of a "
-         "world share one host thread (and the thread backend uses one "
-         "thread per rank), so the storage is silently shared or silently "
-         "per-rank depending on backend",
+         "world share one host thread, and shard gang workers may run a "
+         "shard's fibers on a different thread each window, so the storage "
+         "is silently shared across ranks and silently changes under a "
+         "running rank",
          "keep per-rank state in the rank body or in MpiContext", out);
   }
 }
@@ -904,8 +905,9 @@ constexpr std::array<Rule, 12> kSourceRules = {{
      "world; simulated waiting goes through Process::delay/suspend"},
     {"thread-local",
      "no thread_local in sim paths",
-     "fiber and thread backends map ranks to host threads differently, "
-     "so thread_local state silently changes meaning between backends"},
+     "all fibers of a world share one host thread, and gang workers may "
+     "resume a shard's fibers on a different thread each window, so "
+     "thread_local state is neither per-rank nor stable within a rank"},
     {"pragma-once",
      "headers start with #pragma once",
      "double inclusion breaks the single-library build; include guards "

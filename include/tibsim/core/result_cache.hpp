@@ -34,7 +34,7 @@ namespace tibsim::core {
 
 /// Entry/index schema tag; bump to invalidate every existing cache entry
 /// (it participates in the key, so old entries simply stop matching).
-inline constexpr const char* kResultCacheSchema = "socbench-cache-v1";
+inline constexpr const char* kResultCacheSchema = "socbench-cache-v2";
 
 /// FNV-1a 64-bit over an explicit byte stream. Strings are length-prefixed
 /// and numbers are folded as fixed-width little-endian bytes, so distinct

@@ -54,7 +54,6 @@ enum class CollectiveKind : std::uint8_t {
   PipelinedBcastBytes,
   Reduce,
   Allreduce,
-  AllreduceMax,
   Gather,
   Allgather,
   AlltoallBytes,

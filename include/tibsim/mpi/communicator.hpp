@@ -16,10 +16,9 @@
 //    id = (leader world rank << 32) | leader ordinal locally. No global
 //    counter exists, so sharded runs mint identical ids in any interleaving.
 //  * Wildcard receives (kAnySource / kAnyTag) match in mailbox delivery
-//    order, which the engine already reconstructs canonically — exact
-//    single-queue (sim-time, sender-ordinal) order — for every --sim-shards
-//    value. A wildcard receive therefore
-//    returns the same message everywhere, byte-for-byte.
+//    order, which is the engine's one event order at every --sim-shards
+//    value (sim/simulation.hpp). A wildcard receive therefore returns the
+//    same message everywhere, byte-for-byte.
 //  * Non-blocking collectives (ibarrier/ibcast/iallreduce) are lazy: the
 //    request records the operation and wait() executes it, mirroring how
 //    irecv defers its match. All members must eventually wait, and must

@@ -14,8 +14,8 @@
 //    blocks until the receiver posts a matching recv;
 //  * (communicator, tag, source) matching, including deterministic
 //    wildcard receives: kAnySource/kAnyTag match the first message in
-//    canonical delivery order, which the engine reconstructs identically
-//    for every --sim-shards value and both backends (communicator.hpp);
+//    delivery order, which is the same for every --sim-shards value
+//    (communicator.hpp);
 //  * collectives built from point-to-point with the textbook algorithms
 //    (binomial bcast/reduce, dissemination barrier, ring alltoall), all
 //    routed through mpi::Communicator — the world is communicator id 0.
@@ -126,7 +126,7 @@ struct WorldStats {
   std::vector<PayloadPool::ClassStats> payloadPoolClassStats;
   /// Per-link fabric telemetry folded per link class (all zero when
   /// WorldConfig::linkTelemetry is off). Shard-invariant by construction:
-  /// every fabric occupancy runs in canonical dispatch order.
+  /// every fabric occupancy runs in dispatch-key order.
   obs::LinkStats linkStats;
   /// Sim-time critical path of the run (obs/critical_path.hpp).
   obs::CriticalPath criticalPath;
@@ -226,8 +226,6 @@ class MpiContext {
       std::span<const double> values,
       std::source_location loc = std::source_location::current());
   double allreduceSum(
-      double value, std::source_location loc = std::source_location::current());
-  double allreduceMax(
       double value, std::source_location loc = std::source_location::current());
   /// Gather one double per rank to root (returned in rank order at root).
   std::vector<double> gather(
@@ -344,6 +342,11 @@ class MpiContext {
   int collectiveDepth_ = 0;
   std::uint64_t collectiveChecks_ = 0;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> collectiveSeq_;
+  /// This rank's compute totals, summed into WorldStats in rank order at
+  /// the end of run(): the floating-point sum is then the same at every
+  /// shard count.
+  double flops_ = 0.0;
+  double dramBytes_ = 0.0;
 };
 
 class MpiWorld {
@@ -394,7 +397,6 @@ class MpiWorld {
     MessagePayload payload;  ///< inline or pooled; see payload_pool.hpp
     Stage stage = Stage::Delivered;
     double receiverCost = 0.0;
-    sim::Process* sender = nullptr;  ///< for rendezvous CTS wake-up
     std::uint64_t id = 0;
     /// True when delivery already charged receiverCost and folded it into
     /// the wake-up time, so doRecv must not delay again (see deliver()).
@@ -451,52 +453,51 @@ class MpiWorld {
   // The world is partitioned into leaf-switch-contiguous shards, each with
   // its own Simulation (event queue + fiber scheduler), in-flight slab and
   // payload pool. The single queue is the one-shard case: engines_[0] holds
-  // every rank and its Simulation dispatches without shard mode.
+  // every rank and runs without a scheduler or barriers.
   //
   // With more than one shard (sharded_), shards advance concurrently inside
-  // conservative windows (sim::ShardScheduler); everything whose result
-  // depends on *global* order — fabric occupancy, totalFlops/totalDramBytes
-  // folds, trace spans, and every event pushed into another shard — is
-  // recorded as a DeferredOp / PendingSpan against the submitting dispatch
-  // and replayed serially at the window barrier in canonical merged
-  // dispatch order. That replay is what keeps campaign artefacts
-  // byte-identical for every shard count. On one shard the same DeferredOp
-  // runs at once (submitWireOp), so each side effect is written once.
+  // conservative windows (sim::ShardScheduler). Each shard already
+  // dispatches its events in the one order every shard count shares (the
+  // event keys need only the pusher's own state, sim/simulation.hpp). What
+  // several shards feed — fabric occupancy with the arrival event it
+  // decides, and trace spans — is recorded as a DeferredOp / PendingSpan
+  // under the key of the dispatch that caused it and replayed serially at
+  // the window barrier in key order, which is the order one queue ran
+  // them in. On one shard the same DeferredOp runs at once (submitWireOp),
+  // so each side effect is written once.
 
   /// One trace span captured in-window, flushed to the world tracer at the
-  /// barrier in canonical dispatch order (span order and the sink's memory
+  /// barrier in dispatch-key order (span order and the sink's memory
   /// evolution are serialised, so they must not depend on shard count).
   struct PendingSpan {
     TraceSpan span;
-    std::uint32_t dispatchIndex = 0;
+    sim::EventKey from;  ///< key of the dispatch that recorded it
   };
 
-  /// A side effect that must run in global dispatch order: at once on one
-  /// shard, deferred from in-window execution to the barrier on several.
+  /// A wire side effect: the fabric transfer and the arrival event it
+  /// schedules. Runs at once on one shard; on several it waits for the
+  /// window barrier, which runs every shard's ops in `slot.from` order.
   struct DeferredOp {
     enum class Kind : std::uint8_t {
       Deliver,      ///< fabric transfer + message into dst shard's slab
       DataArrival,  ///< rendezvous data wire + completion in dst shard
       CtsResume,    ///< CTS wire + sender wake-up in the sender's shard
-      StatFold,     ///< totalFlops/totalDramBytes accumulation
     };
-    Kind kind = Kind::StatFold;
-    std::uint32_t dispatchIndex = 0;  ///< submitting dispatch (this shard)
-    int fromNode = 0;                 ///< fabric source endpoint
-    int toNode = 0;                   ///< fabric destination endpoint
-    int dstRank = 0;                  ///< Deliver / DataArrival target
-    int targetShard = 0;              ///< CtsResume: the sender's shard
+    Kind kind = Kind::Deliver;
+    int fromNode = 0;  ///< fabric source endpoint
+    int toNode = 0;    ///< fabric destination endpoint
+    /// The rank the arrival event runs for: the receiver (Deliver,
+    /// DataArrival) or the blocked rendezvous sender (CtsResume).
+    int dstRank = 0;
     double wireBytes = 0.0;
-    double submitT = 0.0;       ///< submit-time sim clock: fabric start
-    std::uint32_t pushIdx = 0;  ///< push index within the submitting dispatch
+    double submitT = 0.0;  ///< submit-time sim clock: fabric start
+    /// Sharded: the arrival push's position, taken when the op was
+    /// submitted (its `from` is the submitting dispatch's key).
+    sim::Simulation::PushSlot slot{};
     std::uint64_t id = 0;  ///< message id (DataArrival)
-    double flops = 0.0;
-    double dramBytes = 0.0;
-    sim::Process* sender = nullptr;  ///< CtsResume wake-up target
     /// CtsResume: the receiver's chain when the CTS left, adopted by the
     /// blocked sender (plus the CTS wire time) at wake-up.
     obs::PathSnapshot path{};
-    MpiContext* senderCtx = nullptr;  ///< CtsResume adoption target
     Message message{};  ///< Deliver: built here, moved into the slab
   };
 
@@ -510,20 +511,12 @@ class MpiWorld {
     std::uint64_t nextMessageId = 0;
     std::uint64_t messageCount = 0;  ///< order-free partial of stats_
     double payloadBytes = 0.0;       ///< exact integer-valued partial sum
-    // Window-barrier state, idle on the single queue:
+    // Window-barrier state, idle on the single queue. Ops must replay at
+    // the next barrier (their arrival events are due in the next window);
+    // while no shard has one, barriers batch and spans accumulate, still
+    // merged in key order later (keys only grow from window to window).
     std::vector<DeferredOp> ops;
-    /// Submitted Deliver/DataArrival/CtsResume ops not yet replayed. While
-    /// every shard's count is zero, window barriers batch: dispatch logs
-    /// and order-insensitive ops accumulate and one deferred merge replays
-    /// them, still in exact global order (windows are time-partitioned
-    /// whether or not a merge ran). Kept per shard, so the gang's threads
-    /// never write one shared counter in-window.
-    std::uint64_t pendingChannelOps = 0;
     std::vector<PendingSpan> spans;
-    // Barrier merge cursors (reset per window).
-    std::size_t logCursor = 0;
-    std::size_t opCursor = 0;
-    std::size_t spanCursor = 0;
   };
 
   int nodeOfRank(int rank) const { return rank / config_.ranksPerNode; }
@@ -551,35 +544,26 @@ class MpiWorld {
   }
 
   /// Cut the ranks into `shards` leaf-switch-contiguous engines, each with
-  /// its own Simulation.
+  /// its own Simulation whose process ids are its global ranks; with
+  /// several, register them with a new scheduler_.
   void buildEngines(int shards);
-  /// Put every engine in shard mode under a new scheduler_ (before the
-  /// first spawn).
-  void attachShardScheduler();
   /// Drive the shards' windows and barriers to completion; returns the
   /// merged engine counters.
   sim::EngineStats runShardWindows();
   /// Destroy the scheduler and every engine while the state their
   /// suspended fibers reference is still alive.
   void releaseEngines();
-  /// Serial window barrier: merge the shards' dispatch logs in canonical
-  /// key order — assigning each dispatch its global ordinal, i.e. the exact
-  /// single-queue dispatch sequence — replay deferred ops and flush trace
-  /// spans in that order, advance the virtual global-queue high-water
-  /// replay, and resolve surviving provisional event keys.
+  /// Serial window barrier: run the shards' deferred ops and flush their
+  /// trace spans, each merged across shards in dispatch-key order.
   void shardBarrier();
-  /// executeOp's `g` on the single queue: the op's event is an ordinary
-  /// push. Barrier ordinals start at 1 (0 keys the spawn events).
-  static constexpr std::uint64_t kPushNow = 0;
   /// Run the op's side effects: the fabric transfer from op.submitT and the
-  /// arrival event in the target shard, pushed under (g, op.pushIdx) at a
-  /// barrier, or at once when g is kPushNow.
-  void executeOp(DeferredOp& op, std::uint64_t g);
+  /// arrival event in dstRank's shard — pushed at once on the single
+  /// queue, through the channel under op.slot at a barrier.
+  void executeOp(DeferredOp& op);
   /// The one place a wire side effect is scheduled: run it now on the
-  /// single queue; when sharded, reserve its intra-dispatch push position
-  /// and queue it for the barrier.
+  /// single queue; when sharded, reserve its arrival's push position and
+  /// queue it for the barrier.
   void submitWireOp(Engine& eng, DeferredOp&& op);
-  void foldCompute(int rank, double flops, double dramBytes);
   /// Rendezvous data-arrival completion in the destination shard.
   /// `path`/`departTime` are the sender's chain when the data left, stamped
   /// into the message here — in the destination shard — so the receiver's
@@ -649,19 +633,9 @@ class MpiWorld {
   // Window-barrier state, used only when sharded_ (more than one engine).
   bool sharded_ = false;
   std::unique_ptr<sim::ShardScheduler> scheduler_;
-  // Virtual global-queue replay (what the single queue's size would have
-  // been at each merged dispatch) for the serialised queueHighWater.
-  std::uint64_t mergedQueueSize_ = 0;
-  std::uint64_t mergedQueueHighWater_ = 0;
-  /// Next global dispatch ordinal (the barrier merge numbers every dispatch
-  /// in exact single-queue order; ordinal 0 is reserved for pre-run
-  /// spawns).
-  std::uint64_t nextGlobalOrd_ = 1;
-  /// Scratch, per shard: global ordinal of each local dispatch this window.
-  std::vector<std::vector<std::uint64_t>> shardOrdByDispatch_;
-  /// Scratch: shards with unmerged dispatch records this barrier.
-  std::vector<std::size_t> mergeScratch_;
-  /// Dispatch records merged across all shardBarrier() calls this run
+  /// Scratch: (engine, cursor) of the lists a barrier merge still reads.
+  std::vector<std::pair<std::size_t, std::size_t>> mergeScratch_;
+  /// Ops and spans merged across all shardBarrier() calls this run
   /// (EngineStats::shardMergeRecords).
   std::uint64_t shardMergeRecords_ = 0;
 };

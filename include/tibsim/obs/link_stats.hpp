@@ -9,7 +9,7 @@
 // 32,768 nodes for no analytic gain — contention is a class property).
 //
 // Everything here is derived from simulated time only, and every
-// scheduleWire call is made in canonical order (inline on the single
+// scheduleWire call is made in dispatch-key order (inline on the single
 // queue, or serially replayed at the shard barrier), so the counters are
 // shard-invariant by construction and safe to serialise into artefacts.
 

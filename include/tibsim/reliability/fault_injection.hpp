@@ -33,7 +33,7 @@ struct FaultPlan {
 FaultPlan planCollectiveFault(const DramErrorModel& model, int ranks,
                               int steps, std::uint64_t seed);
 
-/// Run a hydro-style stepped loop (compute, allreduceMax convergence
+/// Run a hydro-style stepped loop (compute, max-allreduce convergence
 /// test, barrier) of `steps` iterations with the planned fault injected:
 /// at the victim's step the flip zeroes its residual, its control flow
 /// takes the "already converged" branch and skips the allreduce while

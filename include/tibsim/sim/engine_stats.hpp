@@ -4,11 +4,14 @@
 // Every Simulation tracks how much machinery it turned over: events
 // dispatched, process context switches, peak concurrently-live processes,
 // the event-queue high-water mark, and how much host wall-clock each
-// simulated second cost. The counters are a pure function of the simulated
-// workload (every shard count dispatches the identical event sequence), so
-// everything except `hostSeconds` is deterministic and safe to serialise
-// into campaign artefacts. `hostSeconds` is a host measurement and must stay out of the
-// byte-identical JSON; it only feeds the human-facing run summary.
+// simulated second cost. Events, switches, spawns, live processes and
+// simulated time are a pure function of the simulated workload (every
+// shard count dispatches the same events), so they are safe to serialise
+// into campaign artefacts. The rest is not: `hostSeconds` is a host
+// measurement, and a sharded run's queue high-water mark is the largest
+// per-shard peak, which depends on the shard count. They never reach the
+// byte-identical artefacts: `hostSeconds` feeds the human-facing run
+// summary, and the high-water mark perfbench's probe.
 
 #include <algorithm>
 #include <cstddef>
@@ -21,6 +24,7 @@ struct EngineStats {
   std::uint64_t contextSwitches = 0;
   std::uint64_t processesSpawned = 0;
   std::size_t peakLiveProcesses = 0;
+  /// Largest per-shard queue size; never serialised.
   std::size_t queueHighWater = 0;
   double simSeconds = 0.0;
   double hostSeconds = 0.0;  // wall-clock; nondeterministic, never serialised
@@ -45,7 +49,7 @@ struct EngineStats {
   // stays out of serialised artefacts, like hostSeconds.
   std::uint64_t shardBarrierCalls = 0;  ///< barriers that ran a merge
   std::uint64_t shardBarrierSkips = 0;  ///< barriers batched away (no merge)
-  std::uint64_t shardMergeRecords = 0;  ///< dispatch records merged
+  std::uint64_t shardMergeRecords = 0;  ///< wire ops + trace spans merged
   double shardBarrierHostSeconds = 0.0;  ///< host time inside merges
 
   /// Fold another simulation's stats into this one. Order-independent

@@ -25,6 +25,32 @@
 #include <setjmp.h>
 #include <ucontext.h>
 
+// Sanitizer builds switch stacks through swapcontext and announce every
+// switch: AddressSanitizer intercepts longjmp and rejects a jump onto a
+// different stack, and ThreadSanitizer keeps per-fiber shadow state that
+// must be told which fiber the thread runs next.
+#if defined(__SANITIZE_THREAD__)
+#define TIBSIM_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define TIBSIM_TSAN 1
+#endif
+#endif
+#ifndef TIBSIM_TSAN
+#define TIBSIM_TSAN 0
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define TIBSIM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TIBSIM_ASAN 1
+#endif
+#endif
+#ifndef TIBSIM_ASAN
+#define TIBSIM_ASAN 0
+#endif
+
 namespace tibsim::sim {
 
 /// Smallest usable fiber stack. Low enough that stack-sizing experiments
@@ -101,20 +127,26 @@ class ExecutionContext {
   char* stack_ = nullptr;       ///< lowest usable address (stacks grow down)
   std::size_t stackBytes_ = 0;  ///< usable bytes (excludes guard/sentinel)
   bool pooled_ = false;         ///< stack leased from the slab arena
+  bool armed_ = false;
+  bool done_ = false;
+#if TIBSIM_ASAN || TIBSIM_TSAN
+  // Every switch is a swapcontext between these two, announced with the
+  // sanitizer's fiber hooks: where the host stack lives (ASan) and the
+  // fiber handles of this context and of the thread that resumed it
+  // (TSan).
   ucontext_t fiberCtx_{};
   ucontext_t hostCtx_{};
-  // Release builds: steady-state switches (see execution_context.cpp).
-  jmp_buf hostJmp_{};
-  jmp_buf fiberJmp_{};
-  bool entered_ = false;
-  // Sanitizer builds: where the host stack lives (ASan) and the fiber
-  // handles of this context and of the thread that resumed it (TSan).
   const void* hostStackBottom_ = nullptr;
   std::size_t hostStackSize_ = 0;
   void* tsanFiber_ = nullptr;
   void* tsanHost_ = nullptr;
-  bool armed_ = false;
-  bool done_ = false;
+#else
+  // Register-file switches; the first entry's ucontext pair lives on the
+  // host stack for that one switch (see execution_context.cpp).
+  jmp_buf hostJmp_{};
+  jmp_buf fiberJmp_{};
+  bool entered_ = false;
+#endif
 };
 
 }  // namespace tibsim::sim

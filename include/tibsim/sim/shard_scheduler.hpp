@@ -11,12 +11,14 @@
 //
 // because any event one shard can cause in another is delayed by at least
 // the inter-shard link latency (the lookahead bound, taken from the fabric
-// topology — see net::Fabric::lookaheadSeconds). After each window a serial
-// barrier runs: the world merges the shards' dispatch logs in canonical key
-// order and replays deferred cross-shard side effects (fabric occupancy,
-// message deliveries, stats folds) exactly as the single-queue engine would
-// have interleaved them — which is what keeps campaign artefacts
-// byte-identical for any shard count.
+// topology — see net::Fabric::lookaheadSeconds). Every event is keyed by
+// its pusher's own state (simulation.hpp), so each shard dispatches its
+// events in exactly the order one queue would: one order by construction,
+// with nothing to reconstruct. After each window a serial barrier runs the
+// side effects several shards feed — fabric occupancy and the arrival
+// pushes it decides, trace spans — sorted by the key of the dispatch that
+// caused them, which is the order one queue ran them in. That keeps
+// campaign artefacts byte-identical for any shard count.
 //
 // Windows are microseconds of simulated time, so the fork-join must cost
 // far less than a thread wake. A window whose work is spread over shards —
@@ -109,16 +111,16 @@ class ShardScheduler {
   double lookaheadSeconds() const { return lookahead_; }
   Simulation& shard(std::size_t index);
 
-  /// Cross-shard channel: push a callback event into `dstShard` under the
-  /// final canonical key (`g` = global ordinal of the submitting dispatch,
-  /// `pushIdx` = its notePendingPush() index). Call only from the serial
-  /// window barrier.
-  void channelPush(std::size_t dstShard, double t, std::uint64_t g,
-                   std::uint64_t pushIdx, UniqueFunction fn);
+  /// Cross-shard channel: push a callback that runs for `owner` into
+  /// `dstShard`, keyed by the slot its causing dispatch reserved
+  /// (Simulation::reservePush). Call only from the serial window barrier.
+  void channelPush(std::size_t dstShard, double t,
+                   const Simulation::PushSlot& slot, Simulation::Owner owner,
+                   UniqueFunction fn);
 
   /// Drive windows until every shard's queue drains and a final barrier
   /// flushes nothing. `barrier` runs serially on the calling thread after
-  /// every window (merge dispatch logs, replay deferred ops). Returns the
+  /// every window (replay the side effects shards deferred). Returns the
   /// final simulated time (max over shards).
   double run(const std::function<void()>& barrier);
 

@@ -10,17 +10,25 @@
 // application code be written as straight-line code (SimGrid-style)
 // instead of event callbacks.
 //
-// Time is a double in seconds. Events with equal timestamps fire in the
-// order they were scheduled (FIFO tie-break via a sequence number).
+// Time is a double in seconds. Every event carries an ordering key
 //
-// Sharded (logical-process) mode: a Simulation can also act as one shard of
-// a partitioned world (see shard_scheduler.hpp). In shard mode every event
-// carries a *canonical key* — (push time, owner id, per-owner sequence) —
-// instead of the single global sequence, so the merged event order across
-// shards is a pure function of the simulated workload and not of how many
-// shards executed it. The single-shard queue order (t, 0, global seq) is
-// bit-identical to the legacy order, so shard mode never perturbs existing
-// single-queue runs.
+//     (t, depth, owner, seq)
+//
+// computed where it is pushed from the pusher's own state. `owner` is the
+// process the pushing dispatch runs for (a rank, in simMPI; callbacks name
+// the process they run for). `seq` orders one owner's pushes by push order:
+// an owner pushes only inside its own Simulation, so one sequence per
+// Simulation serves every owner. `depth` counts zero-delay pushes at one
+// timestamp: a push at now() goes one level deeper than the dispatch that
+// made it, so a pushed key is always greater than its pusher's and
+// dispatch order is key order. No part of the key depends on what other
+// processes share the queue, so a shard of a partitioned world
+// (shard_scheduler.hpp) orders its events exactly as one queue would: one
+// order at every shard count, by construction. Consequences:
+//  * pushes by one owner at one timestamp fire in push order (FIFO);
+//  * pushes from the host (outside any dispatch) share one owner, so they
+//    fire in push order too; a host push on behalf of a process (spawn,
+//    resume) is keyed by that process.
 
 #include <cstdint>
 #include <functional>
@@ -97,13 +105,48 @@ class Process {
   std::uint64_t suspendSeq_ = 0;
 };
 
+/// Ordering key of a queued event, and of the dispatch that runs it:
+/// (t, depth, owner, seq), see the file comment. Unique per event.
+struct EventKey {
+  double t = 0.0;
+  std::uint64_t ord1 = 0;  ///< equal-time depth << 32 | pushing owner
+  std::uint64_t ord2 = 0;  ///< seq: orders one owner's pushes
+
+  std::uint32_t depth() const { return static_cast<std::uint32_t>(ord1 >> 32); }
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.t != b.t) return a.t < b.t;
+    if (a.ord1 != b.ord1) return a.ord1 < b.ord1;
+    return a.ord2 < b.ord2;
+  }
+};
+
 /// The event loop: a time-ordered queue of callbacks plus the set of spawned
 /// processes. Not thread-safe: drive it from a single thread.
 class Simulation {
  public:
+  /// Who an event runs for: a process id, or kHost.
+  using Owner = std::uint32_t;
+  /// The owner of pushes made outside any dispatch, and of the callbacks
+  /// they schedule.
+  static constexpr Owner kHost = ~Owner{0};
+
+  /// A push position taken by the running dispatch (reservePush) and spent
+  /// later by scheduleChannel: the cross-shard channel keys its event as if
+  /// the dispatch had pushed it there and then.
+  struct PushSlot {
+    EventKey from;            ///< key of the dispatch that took the slot
+    Owner owner = 0;          ///< the owner that dispatch runs for
+    std::uint64_t seq = 0;    ///< the push sequence number it took
+  };
+
   /// `stackBytes` sizes each process's fiber stack; 0 means the engine
-  /// default (TIBSIM_FIBER_STACK_KB or 256 KiB).
-  explicit Simulation(std::size_t stackBytes = 0) : stackBytes_(stackBytes) {}
+  /// default (TIBSIM_FIBER_STACK_KB or 256 KiB). Process ids count up from
+  /// `firstProcessId`: a shard of a partitioned world starts at its first
+  /// rank, so ids (and keys) are global ranks at every shard count.
+  explicit Simulation(std::size_t stackBytes = 0, Owner firstProcessId = 0)
+      : stackBytes_(stackBytes),
+        firstProcessId_(firstProcessId),
+        nextProcessId_(firstProcessId) {}
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -121,12 +164,18 @@ class Simulation {
   void setPooledStacks(bool on) { pooledStacks_ = on; }
   bool pooledStacks() const { return pooledStacks_; }
 
-  /// Schedule a callback at absolute time t (>= now()). The callback type
+  /// Schedule a callback at absolute time t (>= now()). It runs for the
+  /// owner of the running dispatch (kHost outside one). The callback type
   /// is move-only (UniqueFunction): closures of up to kInlineBytes (32) —
   /// message delivery, process wake-ups — are stored inline, and larger
   /// ones take one heap allocation, as do the MPI data-arrival and
   /// CTS-resume closures that carry a critical-path snapshot.
   void scheduleAt(double t, UniqueFunction fn);
+
+  /// scheduleAt for a callback that runs for process `owner` (whose
+  /// further pushes it keys): e.g. a message delivery runs for the
+  /// receiving rank. `owner` must be a process of this Simulation.
+  void scheduleFor(Owner owner, double t, UniqueFunction fn);
 
   /// Schedule a callback dt seconds from now (dt >= 0).
   void scheduleIn(double dt, UniqueFunction fn);
@@ -137,8 +186,8 @@ class Simulation {
   /// Wake a suspended process at time t (>= now()).
   void resumeAt(double t, Process& p);
 
-  /// Wake a suspended process at the current time (after pending events at
-  /// this timestamp that were scheduled earlier).
+  /// Wake a suspended process at the current time (after the running
+  /// dispatch and every event already queued at this timestamp and depth).
   void resume(Process& p);
 
   /// Run until the event queue drains. Returns the final simulation time.
@@ -147,51 +196,11 @@ class Simulation {
   /// Run until the event queue drains or time would exceed `deadline`.
   double runUntil(double deadline);
 
-  // -- sharded (logical-process) mode --------------------------------------
-  // See shard_scheduler.hpp for the window loop that drives these.
-  //
-  // Ordering model. The legacy engine's tie-break at equal t is push order
-  // (a global sequence). Shard mode reconstructs that order exactly: the
-  // window barrier merges the shards' dispatch logs and assigns every
-  // dispatch a global ordinal G in merged order — which IS the legacy
-  // dispatch order, because conservative windows partition simulated time
-  // (every event of window W+1 is later than every event of window W).
-  // An event pushed during dispatch D with per-dispatch push index i sorts
-  // at (t, G(D), i): exactly the legacy (t, seq) order, since legacy seqs
-  // at equal t are grouped by pushing dispatch in dispatch order.
-  //
-  // G(D) is only known once D's window has been merged, so in-window
-  // pushes carry a *provisional* key — kProvisionalOrd | local dispatch
-  // index — which orders correctly against everything dispatchable before
-  // the next barrier (provisional sorts after final at equal t: final keys
-  // come from earlier windows, hence smaller G). At the barrier, surviving
-  // provisional entries are resolved to their final G and the heap is
-  // rebuilt. Cross-shard (channel) pushes are performed at the barrier
-  // itself, where G of the submitting dispatch is already final.
-
-  /// Provisional-key tag: ord1 = kProvisionalOrd | local dispatch index.
-  /// Global ordinals stay far below this bit for any realistic run.
-  static constexpr std::uint64_t kProvisionalOrd = 1ull << 62;
-
-  /// One dispatched event, as recorded by the shard-mode dispatch log: its
-  /// queue ordering key plus how many pushes it caused (own-queue pushes
-  /// made during the dispatch plus deferred cross-shard pushes declared via
-  /// notePendingPush). The barrier merges these logs in key order to
-  /// reconstruct the exact single-queue dispatch sequence and its size
-  /// evolution.
-  struct DispatchRecord {
-    double t;
-    std::uint64_t ord1;  ///< final G(pusher) or kProvisionalOrd | pusher D
-    std::uint64_t ord2;  ///< push index within the pushing dispatch
-    std::uint32_t pushes;
-  };
-
-  /// Switch this Simulation into shard mode. Process ids start at
-  /// `firstProcessId`, which must be the shard's first global rank so spawn
-  /// start events (keyed by process id) merge in global rank order — the
-  /// legacy spawn-order tie-break. Call before the first spawn.
-  void enableShardMode(std::uint64_t firstProcessId);
-  bool shardMode() const { return shardMode_; }
+  // -- sharded worlds -------------------------------------------------------
+  // See shard_scheduler.hpp for the window loop that drives these. Keys
+  // need no translation between shards; what crosses a window barrier is
+  // the key of the dispatch a side effect came from (currentKey,
+  // reservePush).
 
   bool hasEvents() const { return !queue_.empty(); }
   /// Timestamp of the earliest queued event. Requires hasEvents().
@@ -209,37 +218,21 @@ class Simulation {
   /// accounts wall-clock once for the whole window loop.
   std::uint64_t runWindow(double windowEnd);
 
-  /// Shard-mode dispatch log for the current window (cleared by the barrier
-  /// after merging). Entries are in dispatch order, which within one shard
-  /// is canonical key order.
-  const std::vector<DispatchRecord>& dispatchLog() const {
-    return dispatchLog_;
-  }
-  void clearDispatchLog() { dispatchLog_.clear(); }
-  /// Index of the dispatch currently executing (log.size() - 1). Callers
-  /// attribute deferred side effects (cross-shard ops, trace spans) to it.
-  std::uint32_t currentDispatchIndex() const {
-    return static_cast<std::uint32_t>(dispatchLog_.size() - 1);
-  }
-  /// Declare that the current dispatch will push one more event later (a
-  /// deferred cross-shard push executed at the window barrier). Returns the
-  /// push's index within this dispatch — its legacy intra-dispatch push
-  /// position — and counts it for the canonical queue-size replay exactly
-  /// like the legacy engine counted the immediate push.
-  std::uint32_t notePendingPush() { return dispatchLog_.back().pushes++; }
+  /// Key of the running dispatch. A window barrier replays side effects
+  /// that several shards feed (fabric occupancy, trace spans) sorted by
+  /// the key of the dispatch that caused them: one queue's order.
+  const EventKey& currentKey() const { return current_; }
 
-  /// Barrier-side push of a callback under a final key: `g` is the global
-  /// ordinal the barrier merge assigned to the submitting dispatch and
-  /// `pushIdx` the value notePendingPush() returned there. Used only by the
-  /// cross-shard channel, never from inside a dispatch; bypasses the
-  /// dispatch log.
-  void scheduleChannel(double t, std::uint64_t g, std::uint64_t pushIdx,
+  /// Take the running dispatch's next push position for a push that
+  /// happens later, at a window barrier (scheduleChannel). Call only from
+  /// inside a dispatch.
+  PushSlot reservePush();
+
+  /// Barrier-side push of a callback that runs for `owner`, keyed by a
+  /// slot reserved in the dispatch that caused it. Used only by the
+  /// cross-shard channel, never from inside a dispatch.
+  void scheduleChannel(double t, const PushSlot& slot, Owner owner,
                        UniqueFunction fn);
-
-  /// Barrier epilogue: resolve surviving provisional keys against this
-  /// window's dispatch-ordinal map (`gByD[d]` = global ordinal of local
-  /// dispatch d) and restore the heap order. Also resets the dispatch log.
-  void finalizeWindowKeys(const std::vector<std::uint64_t>& gByD);
 
   /// Pre-size the event queue (e.g. to ~4x the expected process count).
   void reserveEvents(std::size_t n) {
@@ -260,27 +253,19 @@ class Simulation {
   /// moves entries by value, so keeping closures out of the heap (and the
   /// entry POD) is what makes push/pop cheap. A process wake-up — the
   /// dominant event type, one per delay()/resume() — is encoded directly as
-  /// (proc, suspendSeq tag) and never touches a closure; callback events
-  /// set proc to nullptr and point `aux` at a slot in the closure slab.
-  ///
-  /// Ordering is (t, ord1, ord2). Legacy single-queue pushes use
-  /// ord1 = global sequence, ord2 = 0 — exactly the historical (t, seq)
-  /// order. Shard-mode pushes use ord1 = pushing dispatch's global ordinal
-  /// (or its provisional stand-in, see kProvisionalOrd) and ord2 = push
-  /// index within that dispatch, which reconstructs the legacy order
-  /// exactly once the barrier resolves ordinals.
+  /// (proc, suspendSeq tag) and runs for that process; callback events set
+  /// proc to nullptr and pack the owner they run for and their slot in
+  /// the closure slab into `aux`.
   struct Event {
-    double t;
-    std::uint64_t ord1;  ///< legacy: global seq; shard: G(pusher)
-    std::uint64_t ord2;  ///< legacy: 0; shard: intra-dispatch push index
+    EventKey key;
     Process* proc;       ///< non-null: wake this process
-    std::uint64_t aux;   ///< proc ? suspension tag : closure slab slot
+    std::uint64_t aux;   ///< proc ? suspension tag : owner << 32 | slot
   };
 
-  /// Explicit binary min-heap over a reserved vector, ordered by
-  /// (t, ord1, ord2). Unlike std::priority_queue it hands out the popped
-  /// element by value (no const_cast of top()) and exposes its size for
-  /// high-water tracking.
+  /// Explicit binary min-heap over a reserved vector, ordered by key.
+  /// Unlike std::priority_queue it hands out the popped element by value
+  /// (no const_cast of top()) and exposes its size for high-water
+  /// tracking.
   class EventQueue {
    public:
     bool empty() const { return heap_.empty(); }
@@ -294,47 +279,44 @@ class Simulation {
     std::size_t countBefore(std::size_t i, double t, std::size_t cap) const;
     void push(Event ev);
     Event pop();
-    /// Rewrite provisional ord1 values via `gByD` and restore heap order
-    /// (shard-mode barrier epilogue).
-    void finalizeKeys(const std::vector<std::uint64_t>& gByD);
 
    private:
-    static bool before(const Event& a, const Event& b) {
-      if (a.t != b.t) return a.t < b.t;
-      if (a.ord1 != b.ord1) return a.ord1 < b.ord1;
-      return a.ord2 < b.ord2;
-    }
     std::vector<Event> heap_;
-    std::size_t provisional_ = 0;  ///< heap entries with a provisional ord1
   };
 
   void dispatch(const Event& ev);
   std::uint32_t stashClosure(UniqueFunction fn);
   void noteContextSwitch() { ++stats_.contextSwitches; }
   void noteProcessFinished(Process& p);
-  /// Keyed (seq) outside shard mode; (G(pusher)|provisional, push index)
-  /// inside it — see the shard-mode ordering model above.
-  void pushQueue(double t, Process* proc, std::uint64_t aux);
+  /// The next push position: the running dispatch's owner's, or, from the
+  /// host, `hostOwner`'s (the process a host push is made for, or kHost).
+  PushSlot takeSlot(Owner hostOwner);
+  /// The one push path: key the event from `slot` and queue it.
+  void pushQueue(double t, const PushSlot& slot, Process* proc,
+                 std::uint64_t aux);
+  /// A callback may run only for the host or a process of this Simulation:
+  /// an owner's pushes must all happen in one queue.
+  bool mayRunFor(Owner owner) const {
+    return owner == kHost ||
+           (owner >= firstProcessId_ && owner < nextProcessId_);
+  }
 
   double now_ = 0.0;
   std::size_t stackBytes_ = 0;
   bool pooledStacks_ = false;
-  std::uint64_t nextSeq_ = 0;
-  std::uint64_t nextProcessId_ = 0;
+  Owner firstProcessId_ = 0;
+  Owner nextProcessId_ = 0;
   std::size_t liveNow_ = 0;
   EngineStats stats_;
   EventQueue queue_;
-  // Shard mode (see enableShardMode): canonical key bookkeeping.
-  bool shardMode_ = false;
-  bool inDispatch_ = false;
-  std::uint64_t idBase_ = 0;   ///< first process id (the shard's first rank)
-  std::uint64_t hostSeq_ = 0;  ///< tie-break for host pushes (ord1 = 0)
-  /// Process id whose spawn start event is being pushed (spawn() only):
-  /// spawn events sort by process id so shards merge them in global rank
-  /// order, matching the legacy spawn-order tie-break.
-  std::uint64_t spawnOrdHint_ = 0;
-  bool inSpawnPush_ = false;
-  std::vector<DispatchRecord> dispatchLog_;
+  // The running dispatch (dispatching_): its key and the owner it runs for.
+  bool dispatching_ = false;
+  EventKey current_;
+  Owner runsFor_ = kHost;
+  /// Every push's `seq`. Only one owner's pushes ever compare on it, and
+  /// they all happen in that owner's Simulation, so one sequence for all
+  /// owners orders them as a per-owner count would.
+  std::uint64_t pushSeq_ = 0;
   // Closure slab for callback events; slots are recycled LIFO, so a steady
   // stream of scheduleIn() calls reuses the same few slots with no
   // allocator traffic.

@@ -164,7 +164,7 @@ mpi::MpiWorld::RankBody HydroBenchmark::rankBody(Params params) {
       }
 
       // Global CFL time-step reduction: latency-bound on every step.
-      ctx.allreduceMax(1.0);
+      ctx.commWorld().allreduce(1.0, mpi::ReduceOp::Max);
     }
     ctx.barrier();
   };

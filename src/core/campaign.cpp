@@ -86,7 +86,6 @@ std::string resultDocument(const Experiment& experiment, std::uint64_t seed,
     stats["processesSpawned"] = static_cast<double>(engine->processesSpawned);
     stats["peakLiveProcesses"] =
         static_cast<double>(engine->peakLiveProcesses);
-    stats["queueHighWater"] = static_cast<double>(engine->queueHighWater);
     stats["simSeconds"] = engine->simSeconds;
     doc["engine"] = std::move(stats);
   }
@@ -302,13 +301,12 @@ CampaignResult runCampaign(const CampaignOptions& options,
         // Deterministic counters only — no hostSeconds (see resultDocument).
         std::ostringstream csv;
         csv << "eventsDispatched,contextSwitches,processesSpawned,"
-               "peakLiveProcesses,queueHighWater,simSeconds\n"
+               "peakLiveProcesses,simSeconds\n"
             << run.engine.eventsDispatched << ','
             << run.engine.contextSwitches << ','
             << run.engine.processesSpawned << ','
             << run.engine.peakLiveProcesses << ','
-            << run.engine.queueHighWater << ',' << run.engine.simSeconds
-            << '\n';
+            << run.engine.simSeconds << '\n';
         writeFile(dir / (run.name + "__engine.csv"), csv.str());
       }
       if (run.counters.worlds > 0) {
@@ -425,7 +423,7 @@ CampaignResult runCampaign(const CampaignOptions& options,
     // Engine block: only experiments that ran discrete-event simulations.
     bool anyEngine = false;
     TextTable engineTable({"experiment", "events", "switches", "peak procs",
-                           "queue hwm", "sim s", "host s/sim s"});
+                           "sim s", "host s/sim s"});
     for (const ExperimentRun& run : campaign.runs) {
       if (run.engine.eventsDispatched == 0) continue;
       anyEngine = true;
@@ -433,7 +431,6 @@ CampaignResult runCampaign(const CampaignOptions& options,
                           std::to_string(run.engine.eventsDispatched),
                           std::to_string(run.engine.contextSwitches),
                           std::to_string(run.engine.peakLiveProcesses),
-                          std::to_string(run.engine.queueHighWater),
                           fmt(run.engine.simSeconds, 2),
                           fmt(run.engine.hostSecondsPerSimSecond(), 4)});
     }

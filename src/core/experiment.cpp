@@ -56,11 +56,9 @@ sim::EngineStats ExperimentContext::engineStats() const {
   std::sort(records.begin(), records.end(),
             [](const sim::EngineStats& a, const sim::EngineStats& b) {
               return std::tie(a.eventsDispatched, a.contextSwitches,
-                              a.processesSpawned, a.simSeconds,
-                              a.queueHighWater) <
+                              a.processesSpawned, a.simSeconds) <
                      std::tie(b.eventsDispatched, b.contextSwitches,
-                              b.processesSpawned, b.simSeconds,
-                              b.queueHighWater);
+                              b.processesSpawned, b.simSeconds);
             });
   sim::EngineStats total;
   for (const sim::EngineStats& r : records) total.accumulate(r);

@@ -539,7 +539,7 @@ ResultSet runScaleBigCluster(ExperimentContext& ctx) {
       "P(error today) must equal the ecc_reliability experiment's headline "
       "metric (same DramErrorModel defaults, same 1,500-node machine the "
       "paper's Section 6.3 argument assumes); the job itself demonstrates "
-      "3,000 live ranks through the fiber execution backend");
+      "3,000 live ranks, each on its own fiber");
   return results;
 }
 

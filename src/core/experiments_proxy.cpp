@@ -119,13 +119,13 @@ ResultSet runTaskFarm(ExperimentContext& ctx) {
       "master self-scheduling via Communicator::recvDoubles(kAnySource): "
       "whichever worker drains first gets the next task, matched in the "
       "engine's canonical delivery order — the distribution table is "
-      "byte-identical for every --sim-shards value and both backends");
+      "byte-identical for every --sim-shards value");
   return results;
 }
 
 ResultSet runHydroAsync(ExperimentContext& ctx) {
   // Strong-scale the same HYDRO problem through the synchronous skeleton
-  // (blocking neighborExchange + flat allreduceMax) and the
+  // (blocking neighborExchange + world max-allreduce) and the
   // communicator-era schedule (dup()ed halo comm with isend/irecv overlap,
   // two-level CFL reduction over split() row groups). Same FLOPs, same
   // halo bytes — the delta is pure schedule.

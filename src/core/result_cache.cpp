@@ -95,7 +95,6 @@ json::Value engineToJson(const sim::EngineStats& e) {
   v["contextSwitches"] = static_cast<double>(e.contextSwitches);
   v["processesSpawned"] = static_cast<double>(e.processesSpawned);
   v["peakLiveProcesses"] = static_cast<double>(e.peakLiveProcesses);
-  v["queueHighWater"] = static_cast<double>(e.queueHighWater);
   v["simSeconds"] = e.simSeconds;
   return v;
 }
@@ -114,7 +113,6 @@ sim::EngineStats engineFromJson(const json::Value& v) {
   e.processesSpawned = static_cast<std::uint64_t>(member(v, "processesSpawned"));
   e.peakLiveProcesses =
       static_cast<std::size_t>(member(v, "peakLiveProcesses"));
-  e.queueHighWater = static_cast<std::size_t>(member(v, "queueHighWater"));
   e.simSeconds = member(v, "simSeconds");
   return e;
 }

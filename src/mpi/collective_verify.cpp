@@ -42,7 +42,6 @@ const char* toString(CollectiveKind kind) {
     case CollectiveKind::PipelinedBcastBytes: return "pipelinedBcastBytes";
     case CollectiveKind::Reduce: return "reduce";
     case CollectiveKind::Allreduce: return "allreduce";
-    case CollectiveKind::AllreduceMax: return "allreduceMax";
     case CollectiveKind::Gather: return "gather";
     case CollectiveKind::Allgather: return "allgather";
     case CollectiveKind::AlltoallBytes: return "alltoallBytes";

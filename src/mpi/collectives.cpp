@@ -319,34 +319,6 @@ double MpiContext::allreduceSum(double value, std::source_location loc) {
   return commWorld().allreduce(value, ReduceOp::Sum, loc);
 }
 
-double MpiContext::allreduceMax(double value, std::source_location loc) {
-  // Predates the communicator layer and is frozen as-is: its tag sub-space
-  // (kReduceTag + (6 << 20) + bit) and message schedule are part of the
-  // byte-identical artefact contract for existing campaigns. The verifier
-  // stamp rides inside Message and adds no traffic, so it is safe here too.
-  CollectiveGuard guard(*this, 0, CollectiveKind::AllreduceMax,
-                        static_cast<std::uint8_t>(ReduceOp::Max), 1,
-                        loc.file_name(), loc.line());
-  const int n = size();
-  double acc = value;
-  if (n == 1) return acc;
-  for (int bit = 1; bit < n; bit *= 2) {
-    if (rank() & bit) {
-      const double buf[1] = {acc};
-      sendDoubles(rank() - bit, kReduceTag + (6 << 20) + bit,
-                  std::span<const double>(buf, 1));
-      break;
-    }
-    if (rank() + bit < n) {
-      const std::vector<double> incoming =
-          recvDoubles(rank() + bit, kReduceTag + (6 << 20) + bit);
-      acc = std::max(acc, incoming[0]);
-    }
-  }
-  std::vector<double> result(1, acc);
-  return bcast(std::move(result), 0, loc)[0];
-}
-
 std::vector<double> MpiContext::gather(double value, int root,
                                        std::source_location loc) {
   return commWorld().gather(value, root, loc);

@@ -69,7 +69,8 @@ double MpiContext::now() const { return process_.now(); }
 void MpiContext::compute(const perfmodel::WorkProfile& work) {
   const double seconds = world_.execModel_.time(
       world_.platform(), work, world_.frequencyHz(), /*cores=*/1);
-  world_.foldCompute(rank_, work.flops, work.bytes);
+  flops_ += work.flops;
+  dramBytes_ += work.bytes;
   world_.stats_.nodeBusySeconds[static_cast<std::size_t>(node_)] += seconds;
   path_.computeSeconds += seconds;
   const double begin = now();
@@ -256,29 +257,11 @@ void MpiWorld::traceSpan(int rank, SpanKind kind, double begin, double end,
     return;
   }
   // Span order (and the sink's capacity evolution) is serialised, so spans
-  // buffer per shard and flush at the barrier in canonical dispatch order.
+  // buffer per shard and flush at the barrier in dispatch-key order.
   Engine& eng = engineOf(rank);
   eng.spans.push_back(PendingSpan{TraceSpan{rank, kind, begin, end, peer,
                                             bytes, comm},
-                                  eng.sim->currentDispatchIndex()});
-}
-
-void MpiWorld::foldCompute(int rank, double flops, double dramBytes) {
-  if (!sharded_) {
-    stats_.totalFlops += flops;
-    stats_.totalDramBytes += dramBytes;
-    return;
-  }
-  // totalFlops/totalDramBytes accumulate fractional values whose FP sum is
-  // order-dependent (and gflops is serialised), so the fold replays at the
-  // barrier in canonical order.
-  Engine& eng = engineOf(rank);
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::StatFold;
-  op.dispatchIndex = eng.sim->currentDispatchIndex();
-  op.flops = flops;
-  op.dramBytes = dramBytes;
-  eng.ops.push_back(std::move(op));
+                                  eng.sim->currentKey()});
 }
 
 void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
@@ -311,13 +294,15 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
     traceSpan(ctx.rank(), SpanKind::Send, sendBegin, sim.now(), dst,
               bytes, comm);
     Message msg{ctx.rank(), tag, bytes, std::move(copy), Stage::Delivered,
-                side, nullptr, nextLocalMessageId(eng)};
+                side, nextLocalMessageId(eng)};
     msg.comm = comm;
     msg.verify = ctx.activeCollective_;
     msg.path = ctx.path_;
     msg.departTime = sim.now();
     const std::uint32_t slot = stashFor(dst, std::move(msg));
-    sim.scheduleIn(0.2e-6, [this, dst, slot] { deliver(dst, slot); });
+    sim.scheduleFor(static_cast<sim::Simulation::Owner>(dst),
+                    sim.now() + 0.2e-6,
+                    [this, dst, slot] { deliver(dst, slot); });
     return;
   }
 
@@ -339,7 +324,7 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
         .dstRank = dst,
         .wireBytes = costs.wireSeconds * platform().nicLinkRateBytesPerS,
         .message = Message{ctx.rank(), tag, bytes, std::move(copy),
-                           Stage::Delivered, costs.receiverSeconds, nullptr,
+                           Stage::Delivered, costs.receiverSeconds,
                            nextLocalMessageId(eng)}};
     op.message.comm = comm;
     op.message.verify = ctx.activeCollective_;
@@ -363,7 +348,7 @@ void MpiWorld::doSend(MpiContext& ctx, std::uint64_t comm, int dst, int tag,
                    .wireBytes = 84.0,  // RTS frame
                    .message = Message{ctx.rank(), tag, bytes, std::move(copy),
                                       Stage::RtsPending, costs.receiverSeconds,
-                                      &ctx.process_, id}};
+                                      id}};
   rtsOp.message.comm = comm;
   rtsOp.message.verify = ctx.activeCollective_;
   submitWireOp(eng, std::move(rtsOp));
@@ -556,8 +541,6 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         // Matched a rendezvous request: return a CTS and wait for the data.
         // msgSrc (not the possibly-wildcard src) names the sender.
         m.stage = Stage::AwaitingData;
-        sim::Process* sender = m.sender;  // before delay(): the yield may
-                                          // grow the slab and move Messages
         const net::MessageCosts cts = protocol_->messageCosts(0);
         chargeCpu(ctx.node(), cts.senderSeconds);
         ctx.path_.recvSeconds += cts.senderSeconds;
@@ -565,17 +548,13 @@ std::vector<std::byte> MpiWorld::doRecv(MpiContext& ctx, std::uint64_t comm,
         // The CTS is what unblocks the rendezvous sender, so the sender's
         // chain becomes this receiver's chain plus the CTS hop. The CTS
         // wire and the adoption + wake-up land in the sender's shard.
-        submitWireOp(
-            engineOf(ctx.rank()),
-            DeferredOp{
-                .kind = DeferredOp::Kind::CtsResume,
-                .fromNode = ctx.node(),
-                .toNode = nodeOfRank(msgSrc),
-                .targetShard = shardOfRank(msgSrc),
-                .wireBytes = 84.0,
-                .sender = sender,
-                .path = ctx.path_,
-                .senderCtx = contexts_[static_cast<std::size_t>(msgSrc)].get()});
+        submitWireOp(engineOf(ctx.rank()),
+                     DeferredOp{.kind = DeferredOp::Kind::CtsResume,
+                                .fromNode = ctx.node(),
+                                .toNode = nodeOfRank(msgSrc),
+                                .dstRank = msgSrc,
+                                .wireBytes = 84.0,
+                                .path = ctx.path_});
         break;  // fall through to waiting for the data-arrival wake-up
       }
       // AwaitingData: the exchange is in flight; keep waiting.
@@ -622,7 +601,6 @@ WorldStats MpiWorld::run(const RankBody& body) {
   stats_.nodeBusySeconds.assign(static_cast<std::size_t>(nodes_), 0.0);
   stats_.nodeCommCpuSeconds.assign(static_cast<std::size_t>(nodes_), 0.0);
   buildEngines(shards);
-  if (sharded_) attachShardScheduler();
 
   std::vector<sim::Process*> processes;
   processes.reserve(static_cast<std::size_t>(ranks_));
@@ -652,6 +630,10 @@ WorldStats MpiWorld::run(const RankBody& body) {
   for (const Engine& e : engines_) {
     stats_.messageCount += e.messageCount;
     stats_.payloadBytes += e.payloadBytes;
+  }
+  for (const auto& ctx : contexts_) {
+    stats_.totalFlops += ctx->flops_;
+    stats_.totalDramBytes += ctx->dramBytes_;
   }
   stats_.traceSpansRecorded = tracer_.spansRecorded();
   stats_.traceSpansRetained = tracer_.spansRetained();

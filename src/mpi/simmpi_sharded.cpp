@@ -1,25 +1,25 @@
 // Engine partition and sharded logical-process execution for MpiWorld.
 //
 // The world is cut at leaf-switch boundaries into contiguous rank ranges,
-// one Simulation per shard. One shard is the single queue: its Simulation
-// dispatches directly and every DeferredOp runs as it is submitted. Several
-// shards are driven in conservative windows by sim::ShardScheduler with the
-// fabric's one-hop cut-through latency as the lookahead bound. Everything
-// below exists to keep the serialised campaign artefacts byte-identical to
-// the single queue for ANY shard count:
+// one Simulation per shard, whose process ids are the global ranks. One
+// shard is the single queue: its Simulation dispatches directly and every
+// DeferredOp runs as it is submitted. Several shards are driven in
+// conservative windows by sim::ShardScheduler with the fabric's one-hop
+// cut-through latency as the lookahead bound. The serialised campaign
+// artefacts are byte-identical for ANY shard count because there is one
+// event order at every shard count, by construction:
 //
-//  * each shard logs its dispatches under canonical (t, ord1, ord2) keys
-//    (sim/simulation.hpp); the window barrier k-way-merges the logs into
-//    the exact order the single global queue would have dispatched,
-//    assigning every dispatch its global ordinal along the way;
-//  * side effects whose result depends on that global order — fabric
-//    occupancy, totalFlops/totalDramBytes folds, trace spans, the queue
-//    high-water mark, and every event pushed toward another shard — were
-//    deferred in-window and are replayed here, serially, in the merged
-//    order;
-//  * order-free counters (message counts, per-node CPU seconds, per-rank
-//    finish times, payload-pool traffic counters) stay in-window on
-//    shard-disjoint state and are summed at the end.
+//  * every event's key (t, depth, owner, count) comes from the state of the
+//    rank whose dispatch pushed it (sim/simulation.hpp), so a shard
+//    dispatches its events in the order one queue would;
+//  * side effects several shards feed — fabric occupancy with the arrival
+//    event it schedules, and trace spans — are deferred in-window and run
+//    at the barrier, serially, merged across shards by the key of the
+//    dispatch that caused them: the order one queue ran them in;
+//  * everything else is per-rank or per-node state inside one shard
+//    (compute totals, CPU seconds, finish times) or an order-free counter
+//    (message counts, payload-pool traffic), summed in rank or shard order
+//    at the end.
 //
 // Anything in-window therefore touches only shard-local state; anything
 // global happens at a barrier on one thread. That split is also what the
@@ -75,10 +75,17 @@ void MpiWorld::buildEngines(int shards) {
     if (e.firstRank < 0) e.firstRank = r;
     e.endRank = r + 1;
   }
+  if (sharded_) {
+    scheduler_ =
+        std::make_unique<sim::ShardScheduler>(fabric_->lookaheadSeconds());
+  }
   for (Engine& e : engines_) {
     TIB_ASSERT(e.firstRank >= 0);  // the leaf map is surjective for
                                    // shards <= leafCount
-    e.sim = std::make_unique<sim::Simulation>(config_.fiberStackBytes);
+    // Process ids are global ranks, so event keys are too.
+    e.sim = std::make_unique<sim::Simulation>(
+        config_.fiberStackBytes,
+        static_cast<sim::Simulation::Owner>(e.firstRank));
     // Huge worlds lease fiber stacks from the slab arena so the VMA count
     // stays far below vm.max_map_count (private guarded stacks cost 2
     // each). The world-level (not per-shard) rank count decides, so the
@@ -87,17 +94,7 @@ void MpiWorld::buildEngines(int shards) {
     // Roughly eager-send + wake-up per rank in flight at any moment.
     e.sim->reserveEvents(static_cast<std::size_t>(e.endRank - e.firstRank) *
                          4);
-  }
-}
-
-void MpiWorld::attachShardScheduler() {
-  scheduler_ =
-      std::make_unique<sim::ShardScheduler>(fabric_->lookaheadSeconds());
-  for (Engine& e : engines_) {
-    // Process ids ARE global ranks: canonical keys across shards then merge
-    // in rank order, matching the single queue's spawn-order tie-break.
-    e.sim->enableShardMode(static_cast<std::uint64_t>(e.firstRank));
-    scheduler_->addShard(e.sim.get());
+    if (sharded_) scheduler_->addShard(e.sim.get());
   }
 }
 
@@ -105,189 +102,129 @@ void MpiWorld::submitWireOp(Engine& eng, DeferredOp&& op) {
   op.submitT = eng.sim->now();
   if (!sharded_) {
     // One queue: no other shard can observe the effect, so it runs now.
-    executeOp(op, kPushNow);
+    executeOp(op);
     return;
   }
   // Fabric occupancy is global state: defer the wire arithmetic and the
-  // arrival push to the barrier, replayed in canonical order.
-  op.dispatchIndex = eng.sim->currentDispatchIndex();
-  // Reserve the push's position within the submitting dispatch: the event
-  // pushed at the barrier sorts exactly where the single queue's immediate
-  // push would have — (G of this dispatch, this index).
-  op.pushIdx = eng.sim->notePendingPush();
-  ++eng.pendingChannelOps;
+  // arrival push to the barrier. The push position is taken now, so the
+  // arrival is keyed exactly as the single queue's immediate push.
+  op.slot = eng.sim->reservePush();
   eng.ops.push_back(std::move(op));
 }
 
-void MpiWorld::executeOp(DeferredOp& op, std::uint64_t g) {
-  if (op.kind == DeferredOp::Kind::StatFold) {
-    stats_.totalFlops += op.flops;
-    stats_.totalDramBytes += op.dramBytes;
-    return;
-  }
+void MpiWorld::executeOp(DeferredOp& op) {
   const double arrival = fabric_->scheduleWire(op.fromNode, op.toNode,
                                                op.wireBytes, op.submitT);
-  // On the single queue the arrival is an ordinary push; at a barrier it
-  // lands under the submitting dispatch's merged key.
-  const auto push = [this, &op, g, arrival](int shard, auto fn) {
-    const auto s = static_cast<std::size_t>(shard);
-    if (g == kPushNow) {
-      engines_[s].sim->scheduleAt(arrival, std::move(fn));
+  const int dst = op.dstRank;
+  const auto owner = static_cast<sim::Simulation::Owner>(dst);
+  // On the single queue the arrival is an ordinary push made by the
+  // running dispatch; at a barrier it is keyed by the slot that dispatch
+  // reserved — the same key.
+  const auto push = [this, &op, dst, owner, arrival](auto fn) {
+    if (!sharded_) {
+      engines_.front().sim->scheduleFor(owner, arrival, std::move(fn));
     } else {
-      scheduler_->channelPush(s, arrival, g, op.pushIdx, std::move(fn));
+      scheduler_->channelPush(static_cast<std::size_t>(shardOfRank(dst)),
+                              arrival, op.slot, owner, std::move(fn));
     }
   };
   switch (op.kind) {
     case DeferredOp::Kind::Deliver: {
-      const int dst = op.dstRank;
       const std::uint32_t slot = stashFor(dst, std::move(op.message));
-      push(shardOfRank(dst), [this, dst, slot] { deliver(dst, slot); });
+      push([this, dst, slot] { deliver(dst, slot); });
       break;
     }
     case DeferredOp::Kind::DataArrival: {
-      const int dst = op.dstRank;
       const std::uint64_t id = op.id;
       const obs::PathSnapshot path = op.path;
       const double depart = op.submitT;
-      push(shardOfRank(dst), [this, dst, id, path, depart] {
+      push([this, dst, id, path, depart] {
         dataArrived(dst, id, path, depart);
       });
       break;
     }
     case DeferredOp::Kind::CtsResume: {
-      sim::Simulation* sim =
-          engines_[static_cast<std::size_t>(op.targetShard)].sim.get();
-      sim::Process* sender = op.sender;
       // The sender adopts the receiver's chain (plus the CTS hop) inside
       // its own shard, exactly when the single queue would.
-      MpiContext* senderCtx = op.senderCtx;
+      MpiContext* sender = contexts_[static_cast<std::size_t>(dst)].get();
+      sim::Simulation* sim = &simFor(dst);
       const obs::PathSnapshot path = op.path;
       const double link = std::max(0.0, arrival - op.submitT);
-      push(op.targetShard, [sim, sender, senderCtx, path, link] {
-        senderCtx->adoptPath(path, link);
-        sim->resume(*sender);
+      push([sim, sender, path, link] {
+        sender->adoptPath(path, link);
+        sim->resume(sender->process_);
       });
       break;
     }
-    case DeferredOp::Kind::StatFold:
-      break;  // folded above
   }
 }
 
+namespace {
+
+// Run the items of every engine's `list` — each list already in key order,
+// since a shard dispatches in key order — merged across engines by the key
+// of the dispatch each came `from`, then clear the lists. `live` is
+// scratch. Returns the number of items run.
+template <class Engine, class Item, class From, class Run>
+std::uint64_t mergeByKey(std::vector<Engine>& engines,
+                         std::vector<Item> Engine::*list,
+                         std::vector<std::pair<std::size_t, std::size_t>>& live,
+                         From from, Run run) {
+  // (engine, cursor) of each list with items left; most barriers find one.
+  live.clear();
+  for (std::size_t e = 0; e < engines.size(); ++e)
+    if (!(engines[e].*list).empty()) live.emplace_back(e, 0);
+  const auto head = [&](const std::pair<std::size_t, std::size_t>& l)
+      -> Item& { return (engines[l.first].*list)[l.second]; };
+  std::uint64_t merged = 0;
+  while (!live.empty()) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < live.size(); ++i)
+      if (from(head(live[i])) < from(head(live[best]))) best = i;
+    run(head(live[best]));
+    ++merged;
+    std::vector<Item>& items = engines[live[best].first].*list;
+    if (++live[best].second == items.size()) {
+      items.clear();
+      live[best] = live.back();
+      live.pop_back();
+    }
+  }
+  return merged;
+}
+
+}  // namespace
+
 void MpiWorld::shardBarrier() {
-  const std::size_t shardCount = engines_.size();
-  if (shardOrdByDispatch_.size() < shardCount)
-    shardOrdByDispatch_.resize(shardCount);
-  for (std::size_t s = 0; s < shardCount; ++s) {
-    Engine& e = engines_[s];
-    e.logCursor = 0;
-    e.opCursor = 0;
-    e.spanCursor = 0;
-    shardOrdByDispatch_[s].assign(e.sim->dispatchLog().size(), 0);
-  }
-  // K-way merge of the shards' dispatch logs into the order the single
-  // global queue would have dispatched this window's events, numbering
-  // each dispatch with its global ordinal as it merges. A provisional
-  // record key references an earlier dispatch in the SAME shard's log, so
-  // by the time a record reaches its log's head its ordinal is resolvable.
-  // Scan only shards that still hold unmerged records; most windows have
-  // one busy shard, where the merge degenerates to a linear walk.
-  mergeScratch_.clear();
-  for (std::size_t s = 0; s < shardCount; ++s) {
-    if (!engines_[s].sim->dispatchLog().empty()) mergeScratch_.push_back(s);
-  }
-  for (;;) {
-    std::size_t bestShard = 0;
-    const sim::Simulation::DispatchRecord* bestRec = nullptr;
-    std::uint64_t bestOrd1 = 0;
-    for (std::size_t live = 0; live < mergeScratch_.size(); ++live) {
-      const std::size_t s = mergeScratch_[live];
-      Engine& e = engines_[s];
-      const auto& log = e.sim->dispatchLog();
-      if (e.logCursor >= log.size()) continue;
-      const auto& rec = log[e.logCursor];
-      std::uint64_t ord1 = rec.ord1;
-      if ((ord1 & sim::Simulation::kProvisionalOrd) != 0) {
-        ord1 = shardOrdByDispatch_[s][static_cast<std::size_t>(
-            ord1 & ~sim::Simulation::kProvisionalOrd)];
-      }
-      if (bestRec == nullptr || rec.t < bestRec->t ||
-          (rec.t == bestRec->t &&
-           (ord1 < bestOrd1 ||
-            (ord1 == bestOrd1 && rec.ord2 < bestRec->ord2)))) {
-        bestShard = s;
-        bestRec = &rec;
-        bestOrd1 = ord1;
-      }
-    }
-    if (bestRec == nullptr) break;
-    Engine* best = &engines_[bestShard];
-    const auto idx = static_cast<std::uint32_t>(best->logCursor++);
-    shardOrdByDispatch_[bestShard][idx] = nextGlobalOrd_++;
-    ++shardMergeRecords_;
-
-    // Virtual single-queue size replay: the dispatch popped one event and
-    // pushed `pushes` (in-window pushes plus deferred channel pushes, which
-    // the single queue would have pushed during this same dispatch). The
-    // high-water candidate peaks after the last push.
-    if (bestRec->pushes > 0) {
-      mergedQueueHighWater_ = std::max(
-          mergedQueueHighWater_, mergedQueueSize_ - 1 + bestRec->pushes);
-    }
-    mergedQueueSize_ = mergedQueueSize_ - 1 + bestRec->pushes;
-
-    const std::uint64_t g = shardOrdByDispatch_[bestShard][idx];
-    while (best->opCursor < best->ops.size() &&
-           best->ops[best->opCursor].dispatchIndex == idx)
-      executeOp(best->ops[best->opCursor++], g);
-    while (best->spanCursor < best->spans.size() &&
-           best->spans[best->spanCursor].dispatchIndex == idx)
-      tracer_.record(best->spans[best->spanCursor++].span);
-    if (best->logCursor >= best->sim->dispatchLog().size()) {
-      const auto drained = std::find(mergeScratch_.begin(),
-                                     mergeScratch_.end(), bestShard);
-      *drained = mergeScratch_.back();
-      mergeScratch_.pop_back();
-    }
-  }
-  for (std::size_t s = 0; s < shardCount; ++s) {
-    Engine& e = engines_[s];
-    TIB_ASSERT(e.opCursor == e.ops.size());
-    TIB_ASSERT(e.spanCursor == e.spans.size());
-    e.ops.clear();
-    e.spans.clear();
-    e.pendingChannelOps = 0;
-    // Resolve surviving provisional event keys against this window's
-    // ordinals and clear the dispatch log.
-    e.sim->finalizeWindowKeys(shardOrdByDispatch_[s]);
-  }
+  shardMergeRecords_ += mergeByKey(
+      engines_, &Engine::ops, mergeScratch_,
+      [](const DeferredOp& op) -> const sim::EventKey& { return op.slot.from; },
+      [this](DeferredOp& op) { executeOp(op); });
+  shardMergeRecords_ += mergeByKey(
+      engines_, &Engine::spans, mergeScratch_,
+      [](const PendingSpan& p) -> const sim::EventKey& { return p.from; },
+      [this](const PendingSpan& p) { tracer_.record(p.span); });
 }
 
 sim::EngineStats MpiWorld::runShardWindows() {
-  // Seed the virtual global-queue replay with the spawn start events (the
-  // single queue pushes one per rank before the first dispatch).
-  mergedQueueSize_ = static_cast<std::uint64_t>(ranks_);
-  mergedQueueHighWater_ = static_cast<std::uint64_t>(ranks_);
-  nextGlobalOrd_ = 1;
-
   // Barrier counters feed EngineStats (the run summary's shard-gang table);
   // two clock reads per window barrier are noise next to the merge itself.
   double barrierSeconds = 0.0;
   std::uint64_t barrierCalls = 0;
   std::uint64_t barrierSkips = 0;
   shardMergeRecords_ = 0;
-  // A barrier with no pending channel ops has nothing another shard can
-  // observe: defer the merge and let compute-phase windows batch. The cap
-  // bounds the accumulated dispatch-log/op memory between real merges.
-  constexpr std::size_t kBarrierBatchRecords = 32768;
+  // A barrier with no pending op has nothing the next window needs: let
+  // compute-phase windows batch their trace spans. The cap bounds the
+  // span memory between real merges.
+  constexpr std::size_t kBarrierBatchSpans = 32768;
   const auto maybeBarrier = [this, &barrierSkips, &barrierCalls] {
-    std::uint64_t pending = 0;
-    std::size_t records = 0;
-    for (Engine& e : engines_) {
-      pending += e.pendingChannelOps;
-      records += e.sim->dispatchLog().size();
+    bool pending = false;
+    std::size_t spans = 0;
+    for (const Engine& e : engines_) {
+      pending = pending || !e.ops.empty();
+      spans += e.spans.size();
     }
-    if (pending == 0 && records < kBarrierBatchRecords) {
+    if (!pending && spans < kBarrierBatchSpans) {
       ++barrierSkips;
       return;
     }
@@ -313,7 +250,6 @@ sim::EngineStats MpiWorld::runShardWindows() {
   sim::EngineStats merged;
   merged.simSeconds = finalTime;
   merged.hostSeconds = hostSeconds;
-  merged.queueHighWater = static_cast<std::size_t>(mergedQueueHighWater_);
   merged.shardCount = engines_.size();
   merged.shardWindows = scheduler_->windowsRun();
   merged.shardParallelWindows = scheduler_->parallelWindowsRun();
@@ -327,6 +263,9 @@ sim::EngineStats MpiWorld::runShardWindows() {
     merged.eventsDispatched += es.eventsDispatched;
     merged.contextSwitches += es.contextSwitches;
     merged.processesSpawned += es.processesSpawned;
+    // Per-shard queues peak at different moments: the max is a bound
+    // for perfbench, not the single queue's figure (never serialised).
+    merged.queueHighWater = std::max(merged.queueHighWater, es.queueHighWater);
     // Every rank is spawned before the first event, so the per-shard peaks
     // are simultaneous and their sum is the global peak (= ranks), exactly
     // what the single queue reports.

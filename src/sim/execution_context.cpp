@@ -13,32 +13,7 @@
 #include "tibsim/common/assert.hpp"
 #include "tibsim/obs/stack_telemetry.hpp"
 
-// Sanitizer builds switch stacks through swapcontext and announce every
-// switch: AddressSanitizer intercepts longjmp and rejects a jump onto a
-// different stack, and ThreadSanitizer keeps per-fiber shadow state that
-// must be told which fiber the thread runs next.
-#if defined(__SANITIZE_THREAD__)
-#define TIBSIM_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define TIBSIM_TSAN 1
-#endif
-#endif
-#ifndef TIBSIM_TSAN
-#define TIBSIM_TSAN 0
-#endif
-
-#if defined(__SANITIZE_ADDRESS__)
-#define TIBSIM_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TIBSIM_ASAN 1
-#endif
-#endif
-#ifndef TIBSIM_ASAN
-#define TIBSIM_ASAN 0
-#endif
-
+// TIBSIM_ASAN / TIBSIM_TSAN come from execution_context.hpp.
 #if TIBSIM_ASAN
 #include <sanitizer/common_interface_defs.h>
 #endif
@@ -59,8 +34,8 @@ void asanFinishSwitch(void* fakeStackSave, const void** bottomOld,
                       std::size_t* sizeOld) {
   __sanitizer_finish_switch_fiber(fakeStackSave, bottomOld, sizeOld);
 }
-#else
-[[maybe_unused]] void asanStartSwitch(void**, const void*, std::size_t) {}
+#elif TIBSIM_TSAN
+void asanStartSwitch(void**, const void*, std::size_t) {}
 void asanFinishSwitch(void*, const void**, std::size_t*) {}
 #endif
 
@@ -72,11 +47,11 @@ void* tsanCreateFiber() { return __tsan_create_fiber(0); }
 void tsanDestroyFiber(void* fiber) { __tsan_destroy_fiber(fiber); }
 void* tsanCurrentFiber() { return __tsan_get_current_fiber(); }
 void tsanSwitchTo(void* fiber) { __tsan_switch_to_fiber(fiber, 0); }
-#else
+#elif TIBSIM_ASAN
 void* tsanCreateFiber() { return nullptr; }
 void tsanDestroyFiber(void*) {}
-[[maybe_unused]] void* tsanCurrentFiber() { return nullptr; }
-[[maybe_unused]] void tsanSwitchTo(void*) {}
+void* tsanCurrentFiber() { return nullptr; }
+void tsanSwitchTo(void*) {}
 #endif
 
 // ---------------------------------------------------------------------------
@@ -197,14 +172,18 @@ ExecutionContext::ExecutionContext(std::size_t stackBytes, bool pooledStack)
   // can tell touched bytes from untouched ones (recycled pooled stacks
   // carry the previous tenant's writes until this refill).
   obs::patternFillStack(stack_, stackBytes_);
+#if TIBSIM_ASAN || TIBSIM_TSAN
   tsanFiber_ = tsanCreateFiber();
+#endif
 }
 
 // Process guarantees the entry has returned before destruction, so the
 // stack is quiescent here: release the lease (which checks the overflow
 // sentinel) or unmap the private mapping.
 ExecutionContext::~ExecutionContext() {
+#if TIBSIM_ASAN || TIBSIM_TSAN
   tsanDestroyFiber(tsanFiber_);
+#endif
   if (pooled_) {
     FiberStackArena::instance().release(stack_, stackBytes_);
   } else {
@@ -213,19 +192,29 @@ ExecutionContext::~ExecutionContext() {
   }
 }
 
+namespace {
+// The initial frame on a fiber stack: only makecontext can build one.
+// makecontext passes ints only, so `self` travels as two 32-bit halves.
+void makeFiberContext(ucontext_t& ctx, char* stack, std::size_t bytes,
+                      void (*entry)(unsigned, unsigned), void* self) {
+  TIB_REQUIRE(getcontext(&ctx) == 0);
+  ctx.uc_stack.ss_sp = stack;
+  ctx.uc_stack.ss_size = bytes;
+  ctx.uc_link = nullptr;  // exit is an explicit transfer in run()
+  const auto bits = reinterpret_cast<std::uintptr_t>(self);
+  makecontext(&ctx, reinterpret_cast<void (*)()>(entry), 2,
+              static_cast<unsigned>(bits >> 32),
+              static_cast<unsigned>(bits & 0xffffffffu));
+}
+}  // namespace
+
 void ExecutionContext::start(Entry entry) {
   TIB_ASSERT(!armed_);
   entry_ = std::move(entry);
-  TIB_REQUIRE(getcontext(&fiberCtx_) == 0);
-  fiberCtx_.uc_stack.ss_sp = stack_;
-  fiberCtx_.uc_stack.ss_size = stackBytes_;
-  fiberCtx_.uc_link = nullptr;  // exit is an explicit transfer in run()
-  // makecontext passes ints only; smuggle `this` as two 32-bit halves.
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&fiberCtx_,
-              reinterpret_cast<void (*)()>(&ExecutionContext::run), 2,
-              static_cast<unsigned>(self >> 32),
-              static_cast<unsigned>(self & 0xffffffffu));
+#if TIBSIM_ASAN || TIBSIM_TSAN
+  makeFiberContext(fiberCtx_, stack_, stackBytes_, &ExecutionContext::run,
+                   this);
+#endif
   armed_ = true;
 }
 
@@ -260,10 +249,15 @@ void ExecutionContext::switchIn() {
   if (_setjmp(hostJmp_) == 0) {
     if (!entered_) {
       // First entry: only makecontext can start a frame on the new
-      // stack. Control returns via _longjmp(hostJmp_), never through
-      // this swapcontext call.
+      // stack. The pair is needed for this one switch only, so it lives
+      // here: control returns via _longjmp(hostJmp_) into this frame,
+      // never through swapcontext, and nothing reads the pair again.
       entered_ = true;
-      TIB_REQUIRE(swapcontext(&hostCtx_, &fiberCtx_) == 0);
+      ucontext_t fiber;
+      ucontext_t host;
+      makeFiberContext(fiber, stack_, stackBytes_, &ExecutionContext::run,
+                       this);
+      TIB_REQUIRE(swapcontext(&host, &fiber) == 0);
     } else {
       _longjmp(fiberJmp_, 1);
     }
@@ -280,8 +274,10 @@ void ExecutionContext::run(unsigned selfHi, unsigned selfLo) {
   auto* self = reinterpret_cast<ExecutionContext*>(
       (static_cast<std::uintptr_t>(selfHi) << 32) |
       static_cast<std::uintptr_t>(selfLo));
+#if TIBSIM_ASAN || TIBSIM_TSAN
   // First time on the fiber stack: complete the switch the host started.
   asanFinishSwitch(nullptr, &self->hostStackBottom_, &self->hostStackSize_);
+#endif
   self->entry_();
   self->done_ = true;
 #if TIBSIM_ASAN || TIBSIM_TSAN

@@ -134,11 +134,11 @@ Simulation& ShardScheduler::shard(std::size_t index) {
 }
 
 void ShardScheduler::channelPush(std::size_t dstShard, double t,
-                                 std::uint64_t g, std::uint64_t pushIdx,
-                                 UniqueFunction fn) {
+                                 const Simulation::PushSlot& slot,
+                                 Simulation::Owner owner, UniqueFunction fn) {
   TIB_REQUIRE_MSG(dstShard < shards_.size() && shards_[dstShard] != nullptr,
                   "cross-shard event routed to a torn-down shard");
-  shards_[dstShard]->scheduleChannel(t, g, pushIdx, std::move(fn));
+  shards_[dstShard]->scheduleChannel(t, slot, owner, std::move(fn));
 }
 
 std::size_t ShardScheduler::gangParticipants() const {

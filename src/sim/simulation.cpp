@@ -1,6 +1,8 @@
 #include "tibsim/sim/simulation.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "tibsim/common/assert.hpp"
 
@@ -91,12 +93,11 @@ void Process::kill() {
 // ---------------------------------------------------------------------------
 
 void Simulation::EventQueue::push(Event ev) {
-  if ((ev.ord1 & kProvisionalOrd) != 0) ++provisional_;
   heap_.push_back(std::move(ev));
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
+    if (!(heap_[i].key < heap_[parent].key)) break;
     std::swap(heap_[i], heap_[parent]);
     i = parent;
   }
@@ -105,7 +106,6 @@ void Simulation::EventQueue::push(Event ev) {
 Simulation::Event Simulation::EventQueue::pop() {
   TIB_ASSERT(!heap_.empty());
   Event out = std::move(heap_.front());
-  if ((out.ord1 & kProvisionalOrd) != 0) --provisional_;
   Event last = std::move(heap_.back());
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -115,8 +115,8 @@ Simulation::Event Simulation::EventQueue::pop() {
     for (;;) {
       std::size_t child = 2 * i + 1;
       if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], last)) break;
+      if (child + 1 < n && heap_[child + 1].key < heap_[child].key) ++child;
+      if (!(heap_[child].key < last.key)) break;
       heap_[i] = std::move(heap_[child]);
       i = child;
     }
@@ -127,38 +127,11 @@ Simulation::Event Simulation::EventQueue::pop() {
 
 std::size_t Simulation::EventQueue::countBefore(std::size_t i, double t,
                                                std::size_t cap) const {
-  if (cap == 0 || i >= heap_.size() || heap_[i].t >= t) return 0;
+  if (cap == 0 || i >= heap_.size() || heap_[i].key.t >= t) return 0;
   std::size_t n = 1;
   n += countBefore(2 * i + 1, t, cap - n);
   n += countBefore(2 * i + 2, t, cap - n);
   return n;
-}
-
-void Simulation::EventQueue::finalizeKeys(
-    const std::vector<std::uint64_t>& gByD) {
-  // Most windows leave no provisional survivors (compute phases push and
-  // consume within the window); the counter makes those barriers O(1)
-  // instead of a full heap walk per shard per window.
-  if (provisional_ == 0) return;
-  for (Event& ev : heap_) {
-    if ((ev.ord1 & kProvisionalOrd) == 0) continue;
-    const std::uint64_t d = ev.ord1 & ~kProvisionalOrd;
-    TIB_ASSERT(d < gByD.size());
-    ev.ord1 = gByD[d];
-  }
-  provisional_ = 0;
-  // Final ordinals order provisional entries exactly as their (D, idx)
-  // provisional keys did within this shard, but the sift keeps the heap
-  // valid against channel pushes that interleaved between them.
-  for (std::size_t i = 1; i < heap_.size(); ++i) {
-    std::size_t j = i;
-    while (j > 0) {
-      const std::size_t parent = (j - 1) / 2;
-      if (!before(heap_[j], heap_[parent])) break;
-      std::swap(heap_[j], heap_[parent]);
-      j = parent;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -182,47 +155,33 @@ std::uint32_t Simulation::stashClosure(UniqueFunction fn) {
   return slot;
 }
 
-void Simulation::pushQueue(double t, Process* proc, std::uint64_t aux) {
-  if (!shardMode_) {
-    // Legacy single-queue order: (t, global sequence) — bit-identical to
-    // the historical tie-break.
-    queue_.push(Event{t, nextSeq_++, 0, proc, aux});
-  } else if (inDispatch_) {
-    // Key by pushing dispatch (provisionally, by its local index — the
-    // barrier resolves it to the global ordinal) and push position within
-    // the dispatch: the legacy push-sequence order, reconstructed.
-    const std::uint64_t d = dispatchLog_.size() - 1;
-    queue_.push(Event{t, kProvisionalOrd | d,
-                      dispatchLog_.back().pushes++, proc, aux});
-  } else if (inSpawnPush_) {
-    // Spawn start events sort by process id (= global rank): final key,
-    // ordinal 0 — before every dispatched event's pushes, as in the legacy
-    // engine where all spawns precede the first dispatch.
-    queue_.push(Event{t, 0, spawnOrdHint_, proc, aux});
-  } else {
-    // Other host-context pushes (generic Simulation API use; simMPI never
-    // schedules from the host mid-run). Keyed after all spawn ids.
-    queue_.push(Event{t, 0, (1ull << 40) + hostSeq_++, proc, aux});
-  }
-  stats_.queueHighWater = std::max(stats_.queueHighWater, queue_.size());
+Simulation::PushSlot Simulation::takeSlot(Owner hostOwner) {
+  if (dispatching_) return reservePush();
+  // Outside a dispatch there is nothing to sort after: every host push
+  // sits at depth 0 (no dispatch key has t = -inf).
+  constexpr EventKey kNoDispatch{-std::numeric_limits<double>::infinity()};
+  return PushSlot{kNoDispatch, hostOwner, pushSeq_++};
 }
 
-void Simulation::enableShardMode(std::uint64_t firstProcessId) {
-  TIB_REQUIRE_MSG(processes_.empty() && queue_.empty(),
-                  "enableShardMode must precede the first spawn/schedule");
-  shardMode_ = true;
-  idBase_ = firstProcessId;
-  nextProcessId_ = firstProcessId;
+void Simulation::pushQueue(double t, const PushSlot& slot, Process* proc,
+                           std::uint64_t aux) {
+  // A push at its pusher's own timestamp goes one depth level deeper, so
+  // its key is greater than the pusher's: dispatch order stays key order.
+  const std::uint64_t depth =
+      t == slot.from.t ? std::uint64_t{slot.from.depth()} + 1 : 0;
+  queue_.push(Event{EventKey{t, depth << 32 | slot.owner, slot.seq}, proc,
+                    aux});
+  stats_.queueHighWater = std::max(stats_.queueHighWater, queue_.size());
 }
 
 double Simulation::nextEventTime() const {
   TIB_ASSERT(!queue_.empty());
-  return queue_.top().t;
+  return queue_.top().key.t;
 }
 
 std::uint64_t Simulation::runWindow(double windowEnd) {
   std::uint64_t dispatched = 0;
-  while (!queue_.empty() && queue_.top().t < windowEnd) {
+  while (!queue_.empty() && queue_.top().key.t < windowEnd) {
     Event ev = queue_.pop();
     dispatch(ev);
     ++dispatched;
@@ -230,24 +189,30 @@ std::uint64_t Simulation::runWindow(double windowEnd) {
   return dispatched;
 }
 
-void Simulation::scheduleChannel(double t, std::uint64_t g,
-                                 std::uint64_t pushIdx, UniqueFunction fn) {
+Simulation::PushSlot Simulation::reservePush() {
+  TIB_REQUIRE_MSG(dispatching_, "reservePush outside a dispatch");
+  return PushSlot{current_, runsFor_, pushSeq_++};
+}
+
+void Simulation::scheduleChannel(double t, const PushSlot& slot, Owner owner,
+                                 UniqueFunction fn) {
   TIB_REQUIRE_MSG(t >= now_,
                   "cross-shard event would land in this shard's past "
                   "(lookahead bound violated)");
-  TIB_ASSERT((g & kProvisionalOrd) == 0);
-  queue_.push(Event{t, g, pushIdx, nullptr, stashClosure(std::move(fn))});
-  stats_.queueHighWater = std::max(stats_.queueHighWater, queue_.size());
-}
-
-void Simulation::finalizeWindowKeys(const std::vector<std::uint64_t>& gByD) {
-  queue_.finalizeKeys(gByD);
-  dispatchLog_.clear();
+  TIB_ASSERT(!dispatching_ && mayRunFor(owner));
+  pushQueue(t, slot, nullptr,
+            std::uint64_t{owner} << 32 | stashClosure(std::move(fn)));
 }
 
 void Simulation::scheduleAt(double t, UniqueFunction fn) {
+  scheduleFor(dispatching_ ? runsFor_ : kHost, t, std::move(fn));
+}
+
+void Simulation::scheduleFor(Owner owner, double t, UniqueFunction fn) {
   TIB_REQUIRE_MSG(t >= now_, "cannot schedule an event in the past");
-  pushQueue(t, nullptr, stashClosure(std::move(fn)));
+  TIB_ASSERT(mayRunFor(owner));
+  pushQueue(t, takeSlot(owner), nullptr,
+            std::uint64_t{owner} << 32 | stashClosure(std::move(fn)));
 }
 
 void Simulation::scheduleIn(double dt, UniqueFunction fn) {
@@ -256,6 +221,7 @@ void Simulation::scheduleIn(double dt, UniqueFunction fn) {
 }
 
 Process& Simulation::spawn(std::string name, Process::Body body) {
+  TIB_REQUIRE_MSG(nextProcessId_ != kHost, "process ids exhausted");
   auto process = std::unique_ptr<Process>(
       new Process(*this, nextProcessId_++, std::move(name), std::move(body)));
   Process& ref = *process;
@@ -264,14 +230,11 @@ Process& Simulation::spawn(std::string name, Process::Body body) {
   ++stats_.processesSpawned;
   ++liveNow_;
   stats_.peakLiveProcesses = std::max(stats_.peakLiveProcesses, liveNow_);
-  // The start event is keyed by the new process id in shard mode so start
-  // events across shards merge in spawn (rank) order.
-  inSpawnPush_ = true;
-  spawnOrdHint_ = ref.id_;
-  scheduleAt(now_, [&ref] {
+  // The start event runs for the new process; pushed from the host it is
+  // also keyed by it, so start events sort in process-id (rank) order.
+  scheduleFor(static_cast<Owner>(ref.id_), now_, [&ref] {
     if (!ref.finished()) ref.switchIn();
   });
-  inSpawnPush_ = false;
   return ref;
 }
 
@@ -281,7 +244,7 @@ void Simulation::resumeAt(double t, Process& p) {
   // against suspension N must not fire into suspension N+1 (e.g. a stale
   // mailbox wake-up arriving while the process already sleeps in delay()).
   // Encoded directly in the event — no closure, no slab slot.
-  pushQueue(t, &p, p.suspendSeq_);
+  pushQueue(t, takeSlot(static_cast<Owner>(p.id_)), &p, p.suspendSeq_);
 }
 
 void Simulation::resume(Process& p) { resumeAt(now_, p); }
@@ -298,7 +261,7 @@ double Simulation::run() {
 
 double Simulation::runUntil(double deadline) {
   const auto start = std::chrono::steady_clock::now();  // tibsim-lint: allow(wall-clock)
-  while (!queue_.empty() && queue_.top().t <= deadline) {
+  while (!queue_.empty() && queue_.top().key.t <= deadline) {
     Event ev = queue_.pop();
     dispatch(ev);
   }
@@ -308,29 +271,33 @@ double Simulation::runUntil(double deadline) {
 }
 
 void Simulation::dispatch(const Event& ev) {
-  TIB_ASSERT(ev.t >= now_);
-  now_ = ev.t;
+  TIB_ASSERT(ev.key.t >= now_);
+  now_ = ev.key.t;
   ++stats_.eventsDispatched;
-  if (shardMode_) {
-    dispatchLog_.push_back(DispatchRecord{ev.t, ev.ord1, ev.ord2, 0});
-    inDispatch_ = true;
-  }
+  current_ = ev.key;
+  dispatching_ = true;
+  // Cleared on every exit, a throwing callback included, so later host
+  // pushes are keyed as host pushes again.
+  struct EndDispatch {
+    bool& flag;
+    ~EndDispatch() { flag = false; }
+  } end{dispatching_};
   if (ev.proc != nullptr) {
     Process& p = *ev.proc;
+    runsFor_ = static_cast<Owner>(p.id_);
     if (!p.finished_ && p.suspended_ && p.suspendSeq_ == ev.aux) {
       p.suspended_ = false;
       p.switchIn();
     }
-    inDispatch_ = false;
     return;
   }
+  runsFor_ = static_cast<Owner>(ev.aux >> 32);
+  const auto slot = static_cast<std::uint32_t>(ev.aux);
   // Move the closure out and free its slot before invoking: the callback
   // may schedule again and immediately reuse the slot.
-  UniqueFunction fn =
-      std::move(closures_[static_cast<std::size_t>(ev.aux)]);
-  freeClosureSlots_.push_back(static_cast<std::uint32_t>(ev.aux));
+  UniqueFunction fn = std::move(closures_[slot]);
+  freeClosureSlots_.push_back(slot);
   fn();
-  inDispatch_ = false;
 }
 
 void Simulation::noteProcessFinished(Process& p) {

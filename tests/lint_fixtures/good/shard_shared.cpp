@@ -1,7 +1,7 @@
 // Fixture: cross-shard work routed through the channel API and immutable
 // statics are fine in shardable simulation code.
-void deliver(ShardScheduler& sched, double t) {
-  sched.channelPush(1, t, 7, 0, noop());
+void deliver(ShardScheduler& sched, double t, const PushSlot& slot) {
+  sched.channelPush(1, t, slot, 7, noop());
 }
 
 int limit() {

@@ -93,6 +93,65 @@ TEST_P(SimulationTest, EqualTimestampsFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+// The key contract (simulation.hpp): a push is keyed by the owner its
+// pushing dispatch runs for, and a push at now() sorts one depth level
+// below that dispatch. Here process 3 schedules C to run for process 0 at
+// t = 1, and process 4 schedules E at t = 1, keyed after C. When C pushes P
+// at now(), P is keyed by owner 0, below C's and E's owners at depth 0;
+// the extra depth level is what keeps P after C and E, and every
+// dispatched key above the one before it.
+TEST_P(SimulationTest, ZeroDelayPushFiresAfterTheDispatchThatMadeIt) {
+  Simulation sim;
+  std::vector<std::string> order;
+  std::vector<EventKey> keys;
+  const auto note = [&](const char* name) {
+    order.emplace_back(name);
+    keys.push_back(sim.currentKey());
+  };
+  for (int i = 0; i < 5; ++i) {
+    sim.spawn(procName(i), [&, i](Process&) {
+      if (i == 3) {
+        sim.scheduleFor(0, 1.0, [&] {
+          note("C");
+          sim.scheduleAt(sim.now(), [&] { note("P"); });
+        });
+      }
+      if (i == 4) sim.scheduleAt(1.0, [&] { note("E"); });
+    });
+  }
+  drive(sim);
+  EXPECT_EQ(order, (std::vector<std::string>{"C", "E", "P"}));
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_TRUE(keys[0] < keys[1] && keys[1] < keys[2]);
+  EXPECT_EQ(keys[2].depth(), keys[0].depth() + 1);
+}
+
+// Pushes by one owner fire in push order at equal timestamps, whatever
+// dispatch made them; another owner's pushes order by owner id.
+TEST_P(SimulationTest, SameOwnerPushesAreFifo) {
+  Simulation sim;
+  std::vector<std::string> order;
+  const auto push = [&](const std::string& name) {
+    sim.scheduleAt(2.0, [&order, name] { order.push_back(name); });
+  };
+  sim.spawn(procName(0), [&](Process& p) {
+    push("a1");
+    push("a2");
+    p.delay(1.0);
+    push("a3");
+    p.delay(1.0);  // wakes at t = 2, after a3: owner 0 pushed it later
+    push("a4");    // pushes at now() go one depth level deeper, so they
+    push("a5");    // trail b1 and b2 too
+  });
+  sim.spawn(procName(1), [&](Process&) {
+    push("b1");
+    push("b2");
+  });
+  drive(sim);
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "a2", "a3", "b1", "b2",
+                                             "a4", "a5"}));
+}
+
 TEST_P(SimulationTest, SchedulingInThePastThrows) {
   Simulation sim;
   sim.scheduleAt(5.0, [] {});
@@ -440,9 +499,12 @@ TEST(ShardScheduler, ChannelPushToTornDownShardIsAContractViolation) {
   ShardScheduler sched(1.0e-6);
   sched.addShard(&a);
   const std::size_t victim = sched.addShard(&b);
-  sched.channelPush(victim, 0.5e-6, 1, 0, [] {});  // alive: accepted
+  const Simulation::PushSlot slot{};
+  sched.channelPush(victim, 0.5e-6, slot, Simulation::kHost,
+                    [] {});  // alive: accepted
   sched.teardownShard(victim);
-  EXPECT_THROW(sched.channelPush(victim, 1.5e-6, 2, 0, [] {}),
+  EXPECT_THROW(sched.channelPush(victim, 1.5e-6, slot, Simulation::kHost,
+                                 [] {}),
                ContractError);
 }
 

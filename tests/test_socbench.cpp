@@ -345,9 +345,9 @@ core::CampaignResult shardedCampaign(int shards, const std::string& pattern) {
 TEST(Campaign, JsonIsByteIdenticalAcrossShardCounts) {
   // fig06 runs 64- and 96-node (multi-leaf-switch) worlds, so
   // --sim-shards > 1 actually partitions the switch tree (8 clamps to the
-  // leaf count). The conservative windows plus the barrier merge must
-  // reconstruct the single-queue dispatch order exactly: the artefact
-  // bytes may not depend on the shard count.
+  // leaf count). Every shard count follows one event order, and the
+  // barrier replays wire ops and spans in it: the artefact bytes may not
+  // depend on the shard count.
   const auto one = shardedCampaign(1, "fig06");
   const auto two = shardedCampaign(2, "fig06");
   const auto eight = shardedCampaign(8, "fig06");
@@ -405,10 +405,11 @@ TEST(Campaign, EngineStatsLandInResultDocument) {
   EXPECT_GT(engine->find("contextSwitches")->asDouble(), 0.0);
   EXPECT_GT(engine->find("processesSpawned")->asDouble(), 0.0);
   EXPECT_GT(engine->find("peakLiveProcesses")->asDouble(), 0.0);
-  EXPECT_GT(engine->find("queueHighWater")->asDouble(), 0.0);
   EXPECT_GT(engine->find("simSeconds")->asDouble(), 0.0);
-  // Wall-clock time is machine-dependent and must never reach the artefact.
+  // Wall-clock time is machine-dependent and must never reach the artefact,
+  // nor may the queue high-water mark, which depends on the shard count.
   EXPECT_EQ(engine->find("hostSeconds"), nullptr);
+  EXPECT_EQ(engine->find("queueHighWater"), nullptr);
   // Run-level stats mirror the document.
   EXPECT_GT(campaign.runs[0].engine.eventsDispatched, 0u);
 }

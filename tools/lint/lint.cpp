@@ -382,8 +382,9 @@ void checkShardShared(const FileContext& ctx, const Rule& rule,
   const bool engineFile =
       pathContains(ctx.path, "src/sim/simulation.cpp") ||
       pathContains(ctx.path, "src/sim/shard_scheduler.cpp");
-  // Raw event-queue pushes bypass the canonical (time, ordinal) keying that
-  // keeps shard merges byte-identical to the single-queue schedule.
+  // Raw event-queue pushes bypass the (time, depth, owner, sequence)
+  // keying that gives every shard count one event order, and a channel
+  // push outside the barrier lands in another shard mid-window.
   static const std::regex kQueuePush(
       "\\bqueue_\\s*\\.\\s*push\\s*\\(|\\bEventQueue::push\\b|"
       "(?:\\.|->)\\s*scheduleChannel\\s*\\(");
@@ -398,11 +399,12 @@ void checkShardShared(const FileContext& ctx, const Rule& rule,
     if (!engineFile && std::regex_search(ctx.code[i], kQueuePush)) {
       emit(ctx, i, rule,
            "direct event-queue access from shardable simulation code: "
-           "events pushed outside the engine bypass the canonical "
-           "(time, ordinal) keying and the cross-shard channel replay, so "
+           "events pushed outside the engine bypass the (time, depth, "
+           "owner, sequence) keying and the cross-shard channel replay, so "
            "sharded runs diverge from the single-queue schedule",
            "route cross-shard work through ShardScheduler::channelPush "
-           "(or Simulation::scheduleAt within a shard)",
+           "with a slot from Simulation::reservePush (or "
+           "Simulation::scheduleAt/scheduleFor within a shard)",
            out);
     }
     if (std::regex_search(ctx.code[i], kMutableStatic)) {
@@ -754,7 +756,7 @@ std::vector<CollectiveCall> collectCollectiveCalls(const std::string& code) {
   static const std::regex kCall(
       "([A-Za-z_]\\w*)\\s*(?:\\.|->)\\s*(ibarrier|ibcast|iallreduce|"
       "barrier|bcastBytes|pipelinedBcastBytes|bcast|reduceSum|"
-      "allreduceSum|allreduceMax|allreduce|reduce|allgatherBytes|"
+      "allreduceSum|allreduce|reduce|allgatherBytes|"
       "allgather|gatherBytes|gather|alltoallBytes|split|dup)\\s*\\(");
   std::vector<CollectiveCall> calls;
   for (std::sregex_iterator it(code.begin(), code.end(), kCall), end;
